@@ -1,8 +1,12 @@
 """Crank-Nicolson time marching on the same P1 spatial discretizations.
 
 Used for the Table-1 comparison run and for building the basket reference
-solution.  The spatial matrix is the z = 0 transformed-problem matrix with
-the mass part removed, so both methods discretize the identical operator.
+solution.  Both methods run on one :class:`~lapbs.fem1d.Pencil`: a step
+factors S + (2/dt)*M, the pencil at the real shift z = 2/dt, and applies
+(2/dt)*M - S, so the two methods discretize the identical operator.  The
+Dirichlet rows are eliminated in the pencil; each step pins the
+time-domain boundary values.  Robin terms are not used: a transparent
+edge is a natural (Neumann) edge here.
 """
 
 from dataclasses import dataclass
@@ -26,16 +30,6 @@ class MarchConfig:
             raise ValueError("steps must be >= 1")
 
 
-def _split_1d(mesh, market, u0, kink):
-    """Return (mass bands, spatial bands, load vector)."""
-    bc = fem1d.BoundarySpec(left=lambda z: 0.0, right=lambda z: 0.0)
-    bands0, _ = fem1d.assemble(mesh, market, 0.0, bc, u0=u0, kink=kink)
-    bands1, _ = fem1d.assemble(mesh, market, 1.0, bc, u0=u0, kink=kink)
-    mass = bands1 - bands0  # pure mass matrix (the z-coefficient)
-    load = fem1d._load_vector(mesh, u0, kink=kink)
-    return mass, bands0, load
-
-
 def march1d(mesh, market, config, u0=None, kink=None,
             left_value=None, right_value=None):
     """theta = 1/2 two-level scheme; Dirichlet data imposed each step.
@@ -43,81 +37,46 @@ def march1d(mesh, market, config, u0=None, kink=None,
     ``left_value``/``right_value`` are time-domain boundary data t -> value;
     defaults are the put problem's K*exp(-r*t) and 0.
     """
-    if u0 is None:
-        u0 = lambda xx: fem1d.payoff_put(xx, market.strike)
-        kink = market.strike
     if left_value is None:
         left_value = lambda t: market.strike * np.exp(-market.r * t)
     if right_value is None:
         right_value = lambda t: 0.0
-
-    mass, spatial, load = _split_1d(mesh, market, u0, kink)
+    both_ends = fem1d.BoundarySpec(left=lambda z: 0.0, right=lambda z: 0.0)
+    p = fem1d.pencil(mesh, market, both_ends, u0=u0, kink=kink)
     dt = market.maturity / config.steps
-
-    lhs = mass / dt + 0.5 * spatial
-    rhs_op = mass / dt - 0.5 * spatial
-    # strong Dirichlet rows at both ends
-    for bands in (lhs,):
-        bands[1, 0] = 1.0
-        bands[0, 1] = 0.0
-        bands[1, -1] = 1.0
-        bands[2, -2] = 0.0
+    lhs = p.S + (2.0 / dt) * p.M
+    rhs_op = (2.0 / dt) * p.M - p.S
 
     # L2-projected initial data: consistent with the Galerkin space and
     # free of the kink-interpolation overshoot on coarse meshes
-    proj = mass.copy()
-    proj[1, 0] = 1.0
-    proj[0, 1] = 0.0
-    proj[1, -1] = 1.0
-    proj[2, -2] = 0.0
-    b0 = load.astype(complex)
-    b0[0] = left_value(0.0)
-    b0[-1] = right_value(0.0)
-    u = solve_banded((1, 1), proj, b0).real
+    proj = p.M.copy()
+    proj[1, p.fixed] = 1.0
+    b = p.load.copy()
+    b[p.fixed] = left_value(0.0), right_value(0.0)
+    u = solve_banded((1, 1), proj, b)
     for n in range(config.steps):
         t_next = (n + 1) * dt
-        b = _band_mul(rhs_op, u)
-        b[0] = left_value(t_next)
-        b[-1] = right_value(t_next)
+        b = fem1d._residual(rhs_op, u)
+        b[p.fixed] = left_value(t_next), right_value(t_next)
         u = solve_banded((1, 1), lhs, b).real
     return u
 
 
-def _band_mul(bands, v):
-    out = bands[1] * v
-    out[:-1] += bands[0, 1:] * v[1:]
-    out[1:] += bands[2, :-1] * v[:-1]
-    return out
-
-
 def march2d(mesh, basket, config, edges=None, u0=None):
     """Crank-Nicolson for the basket equation on the triangulated grid."""
-    if u0 is None:
-        u0 = lambda x1, x2: fem2d.payoff_basket_maxput(x1, x2, basket.strike)
-    if edges is None:
-        edges = fem2d.EdgeSpec()
-
-    spatial, mass, load = fem2d.build_matrices(mesh, basket, u0)
+    p = fem2d.pencil(mesh, basket, edges or fem2d.EdgeSpec(), u0=u0)
     dt = basket.maturity / config.steps
-    dirichlet = fem2d.dirichlet_nodes(mesh, edges)
-
-    lhs = (mass / dt + 0.5 * spatial).tolil()
-    rhs_op = (mass / dt - 0.5 * spatial).tocsr()
-    lhs[dirichlet, :] = 0.0
-    for i in dirichlet:
-        lhs[i, i] = 1.0
-    lu = splu(csc_matrix(lhs))
+    lu = splu(p.S + (2.0 / dt) * p.M)
+    rhs_op = ((2.0 / dt) * p.M - p.S).tocsr()
 
     # L2-projected initial data, matching the 1D march
-    proj = mass.tolil()
-    proj[dirichlet, :] = 0.0
-    for i in dirichlet:
-        proj[i, i] = 1.0
-    b0 = load.copy()
-    b0[dirichlet] = 0.0
-    u = splu(csc_matrix(proj)).solve(b0)
+    n = mesh.n_nodes
+    ones = np.ones(len(p.fixed))
+    b = p.load.copy()
+    b[p.fixed] = 0.0
+    u = splu(p.M + csc_matrix((ones, (p.fixed, p.fixed)), shape=(n, n))).solve(b)
     for _ in range(config.steps):
         b = rhs_op @ u
-        b[dirichlet] = 0.0
+        b[p.fixed] = 0.0
         u = lu.solve(b)
     return u

@@ -105,19 +105,13 @@ def quadrature_nodes(p):
 
 
 def validate(p, kappa):
-    """Check contour admissibility; returns (ok, list of violation strings)."""
+    """Check contour admissibility; returns (ok, list of violation strings).
+
+    ``ContourParams`` already rejects a nonpositive tau, nu, s or n.
+    """
     violations = []
-    crossing = p.gamma - p.nu
-    if not crossing > kappa:
+    if not p.crossing > kappa:
         violations.append(
-            f"real-axis crossing {crossing:g} <= kappa {kappa:g}"
+            f"real-axis crossing {p.crossing:g} <= kappa {kappa:g}"
         )
-    if p.tau <= 0:
-        violations.append(f"tau {p.tau:g} not positive")
-    if p.nu <= 0:
-        violations.append(f"nu {p.nu:g} not positive")
-    if p.s <= 0:
-        violations.append(f"s {p.s:g} not positive")
-    if p.n < 1:
-        violations.append(f"n {p.n} < 1")
     return (not violations, violations)

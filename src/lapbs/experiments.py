@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional
 
 import numpy as np
@@ -104,6 +104,9 @@ def load_config(path=None, example=None):
         data = json.load(f)
     if example is not None:
         data["example"] = example
+    unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     base = default_config(data.get("example", example))
     for k, v in data.items():
         setattr(base, k, v)

@@ -25,6 +25,8 @@ __all__ = [
     "payoff_put",
     "left_dirichlet_transform",
     "robin_coefficient",
+    "Pencil",
+    "pencil",
     "assemble",
     "solve",
     "solve_transformed",
@@ -125,82 +127,107 @@ _GAUSS_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
 
 
 def _load_vector(mesh, u0, kink=None):
-    """(u0, phi_i) for all basis functions, element integrals split at the
-    payoff kink so piecewise-polynomial payoffs integrate exactly."""
-    x = mesh.x
+    """(u0, phi_i) for all basis functions, each element integral split at
+    clip(kink, a, b) so piecewise-polynomial payoffs integrate exactly."""
+    a, b = mesh.x[:-1, None], mesh.x[1:, None]
+    c = b if kink is None else np.clip(kink, a, b)
     rhs = np.zeros(len(mesh))
-    for e in range(mesh.m):
-        a, b = x[e], x[e + 1]
-        cuts = [a, b]
-        if kink is not None and a < kink < b:
-            cuts = [a, kink, b]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            pts = lo + (hi - lo) * _GAUSS_X
-            w = (hi - lo) * _GAUSS_W
-            f = u0(pts) * w
-            rhs[e] += f @ ((b - pts) / mesh.h)
-            rhs[e + 1] += f @ ((pts - a) / mesh.h)
+    for lo, hi in ((a, c), (c, b)):
+        pts = lo + (hi - lo) * _GAUSS_X
+        f = u0(pts) * ((hi - lo) * _GAUSS_W)
+        rhs[:-1] += np.sum(f * (b - pts), axis=1) / mesh.h
+        rhs[1:] += np.sum(f * (pts - a), axis=1) / mesh.h
     return rhs
 
 
-def assemble(mesh, market, z, bc, u0=None, kink=None):
-    """Tridiagonal complex system for the transformed solution at one z.
+@dataclass(frozen=True)
+class Pencil:
+    """The systems of one problem along z: A(z) = S + z*M + sum_k c_k(z)*B_k.
 
-    Returns (bands, rhs) where bands is the (3, M+1) matrix in
-    ``solve_banded`` layout.  ``u0`` defaults to the put payoff with its
-    kink at the strike.
+    Built once per problem with the Dirichlet rows eliminated (identity
+    rows in S, zero rows in M and in each B_k), so a node costs one axpy
+    plus the right-hand-side pins: ``values(z)`` at the ``fixed`` rows,
+    ``load`` elsewhere.  The matrices are (3, n) bands in ``solve_banded``
+    layout (1D) or CSC (2D).  Crank-Nicolson steps with S + (2/dt)*M.
     """
-    r, s2 = market.r, market.sigma**2
-    x = mesh.x
-    h = mesh.h
-    n = len(mesh)
 
-    a, b = x[:-1], x[1:]
+    S: object
+    M: object
+    load: np.ndarray
+    fixed: np.ndarray
+    values: Callable[[complex], object]
+    robin: tuple = ()   # (c_k, B_k) pairs
+
+    def at(self, z):
+        """(A(z), rhs) at one shift z, as ``solve`` takes it."""
+        a = self.S + complex(z) * self.M
+        for c, b in self.robin:
+            a = a + c(z) * b
+        rhs = self.load.astype(complex)
+        rhs[self.fixed] = self.values(z)
+        return a, rhs
+
+
+def _robin_term(r, a, L):
+    """Coefficient of the boundary mass of a transparent edge at L with
+    diffusion a = sigma^2: by parts, -(1/2)*a*x^2*u'' leaves the term
+    -(1/2)*a*L^2*u'(L)*v(L), and u'(L) = robin_coefficient(z)*u(L)."""
+    return lambda z: -0.5 * a * L**2 * robin_coefficient(z, r, np.sqrt(a), L)
+
+
+def _bands(d_left, d_right, up, lo, n):
+    """(3, n) bands from element contributions: both diagonal halves, the
+    upper A[e, e+1] and the lower A[e+1, e]."""
+    out = np.zeros((3, n))
+    out[1, :-1] += d_left
+    out[1, 1:] += d_right
+    out[0, 1:] = up
+    out[2, :-1] = lo
+    return out
+
+
+def pencil(mesh, market, bc, u0=None, kink=None):
+    """The problem's :class:`Pencil`, in bands.  ``u0`` defaults to the put
+    payoff with its kink at the strike."""
+    r, s2 = market.r, market.sigma**2
+    a, b = mesh.x[:-1], mesh.x[1:]
+    h, n = mesh.h, len(mesh)
     # exact element integrals of the polynomial coefficients
     ix2 = (b**3 - a**3) / 3.0                       # int x^2
     ixl = (b * (b**2 - a**2) / 2.0 - (b**3 - a**3) / 3.0) / h   # int x*phi_left
     ixr = ((b**3 - a**3) / 3.0 - a * (b**2 - a**2) / 2.0) / h   # int x*phi_right
-
     # stiffness (1/2)*sigma^2 * int x^2 phi_i' phi_j'
     k_el = 0.5 * s2 * ix2 / h**2
     # convection (sigma^2 - r) * int x * phi_j' * phi_i ; phi_j' = -+1/h
     cc = (s2 - r) / h
-    # mass (z + r) * standard P1 mass
-    zm = z + r
-
-    diag = np.zeros(n, dtype=complex)
-    lower = np.zeros(n - 1, dtype=complex)  # A[i+1, i]
-    upper = np.zeros(n - 1, dtype=complex)  # A[i, i+1]
-
-    # element [a,b]: local (L, R) = (e, e+1)
-    diag[:-1] += k_el + cc * (-ixl) + zm * h / 3.0
-    diag[1:] += k_el + cc * (+ixr) + zm * h / 3.0
-    upper[:] = -k_el + cc * (+ixl) + zm * h / 6.0
-    lower[:] = -k_el + cc * (-ixr) + zm * h / 6.0
+    mass = _bands(h / 3.0, h / 3.0, h / 6.0, h / 6.0, n)
+    spatial = _bands(k_el - cc * ixl, k_el + cc * ixr, -k_el + cc * ixl,
+                     -k_el - cc * ixr, n) + r * mass
 
     if u0 is None:
         u0 = lambda xx: payoff_put(xx, market.strike)
         kink = market.strike
-    rhs = _load_vector(mesh, u0, kink=kink).astype(complex)
-
-    # x = 0: strong Dirichlet (operator degenerates there)
-    diag[0] = 1.0
-    upper[0] = 0.0
-    rhs[0] = bc.left(z)
-
+    # x = 0 is always Dirichlet (the operator degenerates there)
     if bc.right_is_robin:
-        c = robin_coefficient(z, market.r, market.sigma, mesh.L)
-        diag[-1] += -0.5 * s2 * mesh.L**2 * c
+        fixed, values = np.array([0]), bc.left
+        edge = np.zeros((3, n))
+        edge[1, -1] = 1.0
+        robin = ((_robin_term(r, s2, mesh.L), edge),)
     else:
-        diag[-1] = 1.0
-        lower[-1] = 0.0
-        rhs[-1] = bc.right(z)
+        fixed, values = np.array([0, n - 1]), lambda z: (bc.left(z), bc.right(z))
+        robin = ()
+    # row of each band entry: bands[0, j] is row j-1, bands[2, j] row j+1
+    pinned = np.isin(np.arange(n) + np.array([[-1], [0], [1]]), fixed)
+    spatial[pinned] = mass[pinned] = 0.0
+    spatial[1, fixed] = 1.0
+    return Pencil(spatial, mass, _load_vector(mesh, u0, kink=kink), fixed,
+                  values, robin)
 
-    bands = np.zeros((3, n), dtype=complex)
-    bands[0, 1:] = upper
-    bands[1, :] = diag
-    bands[2, :-1] = lower
-    return bands, rhs
+
+def assemble(mesh, market, z, bc, u0=None, kink=None):
+    """Tridiagonal complex system (bands, rhs) for the transformed solution
+    at one z; bands is the (3, M+1) matrix in ``solve_banded`` layout."""
+    return pencil(mesh, market, bc, u0=u0, kink=kink).at(z)
 
 
 def solve(system, mesh=None):

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, identity
+from scipy.sparse import coo_matrix, csc_matrix, diags
 from scipy.sparse.linalg import splu
 
-from .fem1d import robin_coefficient
+from .fem1d import Pencil, _robin_term
 
 __all__ = [
     "Basket2D",
@@ -21,6 +21,7 @@ __all__ = [
     "EdgeSpec",
     "payoff_basket_maxput",
     "build_matrices",
+    "pencil",
     "assemble2d",
     "solve2d",
     "dirichlet_nodes",
@@ -55,6 +56,8 @@ class Mesh2D:
     """Uniform (m1+1) x (m2+1) tensor grid, node k = j*(m1+1) + i."""
 
     def __init__(self, L1, L2, m1, m2):
+        if m1 < 1 or m2 < 1:
+            raise ValueError(f"need at least 1 element per side, got {m1} x {m2}")
         self.L1, self.L2 = float(L1), float(L2)
         self.m1, self.m2 = int(m1), int(m2)
         self.h1 = self.L1 / self.m1
@@ -191,41 +194,33 @@ def _edge_mass(indices, h, n):
     return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble2d(mesh, basket, z, edges, u0=None, cache=None):
-    """Sparse complex system for the transformed basket solution at one z.
-
-    ``cache`` may hold the output of :func:`build_matrices` so the
-    z-independent work is shared across contour nodes.
-    """
+def pencil(mesh, basket, edges, u0=None):
+    """The problem's :class:`~lapbs.fem1d.Pencil`, in CSC.  ``u0`` defaults
+    to the put-on-maximum payoff."""
     if u0 is None:
         u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
-    if cache is None:
-        cache = build_matrices(mesh, basket, u0)
-    spatial, mass, load = cache
-    n = mesh.n_nodes
-
-    a = (spatial + z * mass).astype(complex).tolil()
-    m1, m2 = mesh.m1, mesh.m2
-
-    if edges.x1_far == "transparent":
-        c = robin_coefficient(z, basket.r, np.sqrt(basket.a11), basket.L1)
-        idx = np.arange(m2 + 1) * (m1 + 1) + m1
-        a = (a.tocsr() - 0.5 * basket.a11 * basket.L1**2 * c
-             * _edge_mass(idx, mesh.h2, n)).tolil()
-    if edges.x2_far == "transparent":
-        c = robin_coefficient(z, basket.r, np.sqrt(basket.a22), basket.L2)
-        idx = m2 * (m1 + 1) + np.arange(m1 + 1)
-        a = (a.tocsr() - 0.5 * basket.a22 * basket.L2**2 * c
-             * _edge_mass(idx, mesh.h1, n)).tolil()
-
-    rhs = load.astype(complex)
+    spatial, mass, load = build_matrices(mesh, basket, u0)
+    n, m1, m2 = mesh.n_nodes, mesh.m1, mesh.m2
     fixed = dirichlet_nodes(mesh, edges)
-    if len(fixed):
-        a[fixed, :] = 0.0
-        for i in fixed:
-            a[i, i] = 1.0
-        rhs[fixed] = 0.0
-    return csc_matrix(a), rhs
+    # left-multiplying by this drops the Dirichlet rows from the structure
+    free = diags(np.isin(np.arange(n), fixed, invert=True).astype(float))
+    robin = tuple(
+        (_robin_term(basket.r, a, L), (free @ _edge_mass(idx, h, n)).tocsc())
+        for cond, a, L, idx, h in (
+            (edges.x1_far, basket.a11, basket.L1,
+             np.arange(m2 + 1) * (m1 + 1) + m1, mesh.h2),
+            (edges.x2_far, basket.a22, basket.L2,
+             m2 * (m1 + 1) + np.arange(m1 + 1), mesh.h1))
+        if cond == "transparent")
+    identity = csc_matrix((np.ones(len(fixed)), (fixed, fixed)), shape=(n, n))
+    return Pencil((free @ spatial).tocsc() + identity,
+                  (free @ mass).tocsc(), load, fixed, lambda z: 0.0, robin)
+
+
+def assemble2d(mesh, basket, z, edges, u0=None):
+    """Sparse complex system (CSC matrix, rhs) for the transformed basket
+    solution at one z."""
+    return pencil(mesh, basket, edges, u0=u0).at(z)
 
 
 def solve2d(system):

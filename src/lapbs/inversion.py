@@ -40,18 +40,6 @@ class TransformEnsemble:
         return cls(contour, half, vals)
 
 
-def _kahan_sum(terms):
-    # fixed ascending order + compensation: bit-stable reduction
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for t in terms:
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
-
-
 def invert_at(ensemble, t, return_residual=False):
     """Evaluate the quadrature inversion sum at one time t."""
     if t <= 0:

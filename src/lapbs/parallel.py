@@ -1,7 +1,8 @@
 """Fan-out of the per-z elliptic solves across worker processes.
 
-Each contour node is an independent solve, so workers share nothing but
-the read-only problem description.  Node j goes to worker j mod W; the
+Each contour node is an independent solve at one shift z of the
+problem's pencil, so workers share nothing but that read-only pencil,
+inherited through the fork.  Node j goes to worker j mod W; the
 result rows are placed by node index, making the assembled ensemble
 bit-identical for any worker count.
 """
@@ -26,6 +27,10 @@ class SpeedupRow:
     speedup: float
 
 
+_KINDS = ("put1d", "basket2d")
+_RIGHT_BCS = ("dirichlet0", "transparent")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Picklable description of one pricing problem.
@@ -40,64 +45,59 @@ class ProblemSpec:
     right_bc: str = "dirichlet0"
     edges: object = None
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}; choose from {_KINDS}")
+        if self.right_bc not in _RIGHT_BCS:
+            raise ValueError(f"unknown right_bc {self.right_bc!r}; "
+                             f"choose from {_RIGHT_BCS}")
+
     def mesh(self):
         if self.kind == "put1d":
             return fem1d.Mesh1D(self.market.L, self.m)
         return fem2d.Mesh2D(self.market.L1, self.market.L2, self.m, self.m)
 
+    def pencil(self):
+        """The z-independent pieces, built once per problem."""
+        mk = self.market
+        if self.kind == "put1d":
+            left = lambda z: fem1d.left_dirichlet_transform(z, mk.strike, mk.r)
+            right = None if self.right_bc == "transparent" else (lambda z: 0.0)
+            return fem1d.pencil(self.mesh(), mk, fem1d.BoundarySpec(left, right))
+        return fem2d.pencil(self.mesh(), mk, self.edges or fem2d.EdgeSpec())
 
-def _solve_node_1d(spec, mesh, z):
-    mk = spec.market
-    left = lambda zz: fem1d.left_dirichlet_transform(zz, mk.strike, mk.r)
-    if spec.right_bc == "transparent":
-        bc = fem1d.BoundarySpec(left=left, right=None)
-    else:
-        bc = fem1d.BoundarySpec(left=left, right=lambda zz: 0.0)
-    return fem1d.solve_transformed(mesh, mk, z, bc).values
+    def solve(self, system):
+        """One node's solve, looked up in its module at call time."""
+        if self.kind == "put1d":
+            return fem1d.solve(system)
+        return fem2d.solve2d(system)
 
 
 _WORKER_STATE = {}
 
 
-def _init_worker(spec, mesh, cache, zs):
-    _WORKER_STATE.update(spec=spec, mesh=mesh, cache=cache, zs=zs)
+def _init_worker(spec, pencil, zs):
+    _WORKER_STATE.update(spec=spec, pencil=pencil, zs=zs)
 
 
 def _run_nodes(node_ids):
-    spec = _WORKER_STATE["spec"]
-    mesh = _WORKER_STATE["mesh"]
-    cache = _WORKER_STATE["cache"]
-    zs = _WORKER_STATE["zs"]
-    out = []
-    for j in node_ids:
-        if spec.kind == "put1d":
-            out.append((j, _solve_node_1d(spec, mesh, zs[j])))
-        else:
-            edges = spec.edges or fem2d.EdgeSpec()
-            system = fem2d.assemble2d(mesh, spec.market, zs[j], edges,
-                                      cache=cache)
-            out.append((j, fem2d.solve2d(system)))
-    return out
+    spec, pencil, zs = (_WORKER_STATE[k] for k in ("spec", "pencil", "zs"))
+    return [(j, spec.solve(pencil.at(zs[j]))) for j in node_ids]
 
 
 def solve_ensemble(spec, contour, workers=1, baseline_time=None):
     """Solve the conjugate-half nodes, fanning out over ``workers``.
 
     Returns (TransformEnsemble, SpeedupRow).  Timing covers only the
-    elliptic solves, not mesh/payoff setup or the inversion sum.
+    elliptic solves, not the pencil build or the inversion sum.
     ``baseline_time`` is the 1-worker wall time used for the speedup
     column; by definition speedup(1 worker) = 1.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    mesh = spec.mesh()
     half = [q for q in quadrature_nodes(contour) if q.j >= 0]
     zs = [q.z for q in half]
-    cache = None
-    if spec.kind == "basket2d":
-        mk = spec.market
-        u0 = lambda x1, x2: fem2d.payoff_basket_maxput(x1, x2, mk.strike)
-        cache = fem2d.build_matrices(mesh, mk, u0)
+    pencil = spec.pencil()
 
     n = len(half)
     assignments = [list(range(w, n, workers)) for w in range(workers)]
@@ -106,7 +106,7 @@ def solve_ensemble(spec, contour, workers=1, baseline_time=None):
     results = [None] * n
     start = time.perf_counter()
     if workers == 1:
-        _init_worker(spec, mesh, cache, zs)
+        _init_worker(spec, pencil, zs)
         chunks = [_run_nodes(a) for a in assignments]
     else:
         chunks = None
@@ -115,7 +115,7 @@ def solve_ensemble(spec, contour, workers=1, baseline_time=None):
             try:
                 with ctx.Pool(processes=len(assignments),
                               initializer=_init_worker,
-                              initargs=(spec, mesh, cache, zs)) as pool:
+                              initargs=(spec, pencil, zs)) as pool:
                     chunks = pool.map(_run_nodes, assignments)
                 break
             except Exception:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from lapbs import cn, fem1d, fem2d
 from lapbs.analytic import bs_put, l2_error, reduction_rate
@@ -49,6 +50,25 @@ class TestMarch1D:
         assert np.max(u) <= MARKET.strike * 1.0 + 1e-9
         assert np.max(u) == pytest.approx(50.0 * np.exp(-0.05), rel=1e-10)
         assert np.min(u) >= -1e-9
+
+    def test_one_step_is_pencil_solve_at_two_over_dt(self):
+        # one CN step from u0 solves (S + zM) u1 = (zM - S) u0, z = 2/dt
+        mesh = fem1d.Mesh1D(200.0, 40)
+        bc = fem1d.BoundarySpec(left=lambda z: 0.0, right=lambda z: 0.0)
+        p = fem1d.pencil(mesh, MARKET, bc)
+        proj = p.M.copy()
+        proj[1, [0, -1]] = 1.0
+        b0 = p.load.copy()
+        b0[[0, -1]] = MARKET.strike, 0.0
+        u0 = solve_banded((1, 1), proj, b0)
+
+        z = 2.0 / MARKET.maturity
+        a, _ = p.at(z)
+        b1 = fem1d._residual(z * p.M - p.S, u0).astype(complex)
+        b1[[0, -1]] = MARKET.strike * np.exp(-MARKET.r * MARKET.maturity), 0.0
+        want = fem1d.solve((a, b1)).real
+        got = cn.march1d(mesh, MARKET, cn.MarchConfig(1))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_boundary_values_imposed(self):
         mesh = fem1d.Mesh1D(200.0, 80)

@@ -33,6 +33,12 @@ class TestConfig:
         assert cfg.workers == 2
         assert cfg.L == 200.0  # untouched default
 
+    def test_load_config_rejects_unknown_keys(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"example": "ex1", "worker": 4}))
+        with pytest.raises(ValueError, match="worker"):
+            experiments.load_config(str(path))
+
     def test_contour_lookup(self):
         cfg = experiments.default_config("ex1")
         c = cfg.contour(15)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from lapbs.analytic import l2_error, reduction_rate
 from lapbs.fem1d import (BoundarySpec, Market1D, Mesh1D, _load_vector,
                          assemble, left_dirichlet_transform, p1_b_form,
-                         p1_l2_sq, p1_weighted_semi_sq, payoff_put,
+                         p1_l2_sq, p1_weighted_semi_sq, payoff_put, pencil,
                          robin_coefficient, solve, solve_transformed)
 
 MARKET = Market1D(r=0.05, sigma=0.3, strike=50.0, maturity=1.0, L=50.0)
@@ -65,19 +65,21 @@ class TestAssembleOracle:
             assert bands[0, 3] == pytest.approx(ROW_HI_B + z * ROW_HI_M)
             assert bands[2, 1] == pytest.approx(ROW_LO_B + z * ROW_LO_M)
 
-    def test_load_vector_against_quadrature(self):
-        # kink mid-element: strike 23 inside [20, 25]
+    # kink mid-element (strike 23 inside [20, 25]) and on the node x = 25
+    @pytest.mark.parametrize("strike", [23.0, 25.0],
+                             ids=["mid_element", "on_node"])
+    def test_load_vector_against_quadrature(self, strike):
         mesh = Mesh1D(50.0, 10)
-        rhs = _load_vector(mesh, lambda x: payoff_put(x, 23.0), kink=23.0)
+        rhs = _load_vector(mesh, lambda x: payoff_put(x, strike), kink=strike)
         for i in (3, 4, 5):
             xi = mesh.x[i]
 
             def phi(x):
                 return max(0.0, 1.0 - abs(x - xi) / mesh.h)
 
-            want, _ = quad(lambda x: max(23.0 - x, 0.0) * phi(x),
+            want, _ = quad(lambda x: max(strike - x, 0.0) * phi(x),
                            max(xi - mesh.h, 0.0), min(xi + mesh.h, 50.0),
-                           points=[23.0])
+                           points=[strike])
             assert rhs[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_interior_payoff_load_is_lumped_value(self):
@@ -94,6 +96,43 @@ class TestAssembleOracle:
         assert rhs[0] == pytest.approx(50.0 / (z + 0.05))
         assert bands[1, -1] == 1.0 and bands[2, -2] == 0.0
         assert rhs[-1] == 0.0
+
+
+def dense(bands):
+    """Full matrix of (3, n) bands in ``solve_banded`` layout."""
+    return (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+            + np.diag(bands[2, :-1], -1))
+
+
+class TestPencil:
+    @pytest.mark.parametrize("right", [BC_DIRICHLET.right, None],
+                             ids=["dirichlet", "robin"])
+    def test_at_is_shifted_pencil_with_identity_dirichlet_rows(self, right):
+        mesh = Mesh1D(50.0, 10)
+        bc = BoundarySpec(left=BC_DIRICHLET.left, right=right)
+        p = pencil(mesh, MARKET, bc)
+        # interior rows of S and M are the frozen element integrals
+        assert p.S[1, 2] == pytest.approx(ROW_DIAG_B)
+        assert p.M[1, 2] == pytest.approx(ROW_DIAG_M)
+        assert p.S[2, 1] == pytest.approx(ROW_LO_B)
+        assert p.M[0, 3] == pytest.approx(ROW_HI_M)
+
+        z = 2.0 + 3.0j
+        bands, rhs = p.at(z)
+        got = dense(bands)
+        want = dense(p.S) + z * dense(p.M)
+        if right is None:
+            c = robin_coefficient(z, MARKET.r, MARKET.sigma, mesh.L)
+            want[-1, -1] -= 0.5 * MARKET.sigma**2 * mesh.L**2 * c
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+        fixed = [0] if right is None else [0, 10]
+        assert list(p.fixed) == fixed
+        for i in fixed:
+            assert np.array_equal(got[i], np.eye(11)[i])
+        assert rhs[0] == pytest.approx(50.0 / (z + 0.05))
+        if right is not None:
+            assert rhs[-1] == 0.0
 
 
 class TestRobinCoefficient:

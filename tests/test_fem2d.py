@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from lapbs.fem1d import robin_coefficient
 from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass, assemble2d,
                          build_matrices, dirichlet_nodes, interpolate_p1,
-                         payoff_basket_maxput, relative_l2, solve2d)
+                         payoff_basket_maxput, pencil, relative_l2, solve2d)
 
 BASKET = Basket2D(r=0.05, a11=0.09, a22=0.09, a12=-0.018,
                   strike=100.0, maturity=1.0, L1=300.0, L2=300.0)
@@ -26,6 +27,11 @@ class TestMeshAndPayoff:
         got = payoff_basket_maxput(np.array([0.0, 50.0, 120.0]),
                                    np.array([80.0, 30.0, 10.0]), 100.0)
         assert list(got) == [20.0, 50.0, 0.0]
+
+    @pytest.mark.parametrize("m1, m2", [(0, 4), (4, 0), (-4, 4)])
+    def test_mesh_needs_an_element_per_side(self, m1, m2):
+        with pytest.raises(ValueError, match="at least 1 element"):
+            Mesh2D(300.0, 300.0, m1, m2)
 
     def test_basket_validation(self):
         with pytest.raises(ValueError):
@@ -124,6 +130,40 @@ class TestBoundaryHandling:
             row[i] = 0.0
             assert np.all(row == 0.0)
             assert rhs[i] == 0.0
+
+
+class TestPencil:
+    @pytest.mark.parametrize("edges", [
+        EdgeSpec(),
+        EdgeSpec(x1_far="transparent", x2_far="transparent"),
+        EdgeSpec(x1_far="transparent"),
+    ], ids=["dirichlet", "transparent", "mixed"])
+    def test_at_is_shifted_pencil_with_identity_dirichlet_rows(self, edges):
+        mesh = Mesh2D(300.0, 300.0, 4, 4)
+        z = 2.0 + 1.0j
+        spatial, mass, load = build_matrices(mesh, BASKET, payoff)
+        want = (spatial + z * mass).toarray()
+        far1 = np.arange(5) * 5 + 4
+        far2 = 20 + np.arange(5)
+        for cond, a, idx, h in ((edges.x1_far, BASKET.a11, far1, mesh.h2),
+                                (edges.x2_far, BASKET.a22, far2, mesh.h1)):
+            if cond == "transparent":
+                c = robin_coefficient(z, BASKET.r, np.sqrt(a), 300.0)
+                want -= 0.5 * a * 300.0**2 * c * _edge_mass(
+                    idx, h, mesh.n_nodes).toarray()
+
+        p = pencil(mesh, BASKET, edges)
+        a, rhs = p.at(z)
+        got = a.toarray()
+        fixed = dirichlet_nodes(mesh, edges)
+        free = np.setdiff1d(np.arange(mesh.n_nodes), fixed)
+        np.testing.assert_allclose(got[free], want[free], rtol=1e-14)
+        np.testing.assert_array_equal(rhs[free], load[free])
+        np.testing.assert_array_equal(got[fixed], np.eye(25)[fixed])
+        assert np.all(rhs[fixed] == 0.0)
+        # eliminated up front: M and every B_k carry no Dirichlet row
+        for mat in (p.M, *(b for _, b in p.robin)):
+            assert mat.tocsr()[fixed].nnz == 0
 
 
 class TestSolve2D:

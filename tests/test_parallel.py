@@ -20,6 +20,17 @@ class TestProblemSpec:
         assert isinstance(s2.mesh(), fem2d.Mesh2D)
         assert s2.mesh().n_nodes == 17 * 17
 
+    @pytest.mark.parametrize("kwargs, bad, allowed", [
+        ({"kind": "put1D", "market": MARKET}, "'put1D'", "basket2d"),
+        ({"kind": "basket", "market": BASKET}, "'basket'", "put1d"),
+        ({"kind": "put1d", "market": MARKET, "right_bc": "transprent"},
+         "'transprent'", "transparent"),
+    ], ids=["kind_1d", "kind_2d", "right_bc"])
+    def test_unknown_kind_or_right_bc_rejected(self, kwargs, bad, allowed):
+        with pytest.raises(ValueError) as err:
+            ProblemSpec(m=16, **kwargs)
+        assert bad in str(err.value) and allowed in str(err.value)
+
 
 class TestSolveEnsemble:
     def test_invalid_workers(self):
