@@ -1,4 +1,8 @@
-"""Closed-form Black-Scholes put, high-precision erf, and error metrics."""
+"""Closed-form Black-Scholes put, high-precision erf, and error metrics.
+
+``erf`` and ``bs_put`` take a float or an ndarray of any shape and run the
+same array code for both; a scalar in gives a Python float out.
+"""
 
 import math
 
@@ -10,59 +14,78 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 def _erf_series(x):
-    # incomplete-gamma series P(1/2, x^2), fast for small |x|
+    # incomplete-gamma series P(1/2, x^2), fast for small |x|; each entry
+    # stops at its own convergence test, so only unconverged ones iterate
     x2 = x * x
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    y2 = x2
     ap = 0.5
-    term = 1.0 / ap
-    total = term
+    term = np.full_like(x, 1.0 / ap)
+    total = term.copy()
     for _ in range(200):
         ap += 1.0
-        term *= x2 / ap
+        term *= y2 / ap
         total += term
-        if abs(term) < abs(total) * 1e-18:
+        done = np.abs(term) < np.abs(total) * 1e-18
+        out[live[done]] = total[done]
+        more = ~done
+        live, y2, term, total = live[more], y2[more], term[more], total[more]
+        if not live.size:
             break
-    return total * x * math.exp(-x2) / _SQRT_PI
+    out[live] = total
+    return out * x * np.exp(-x2) / _SQRT_PI
 
 
 def _erfc_cf(x):
-    # modified Lentz continued fraction for Gamma(1/2, x^2)
+    # modified Lentz continued fraction for Gamma(1/2, x^2), per-entry stop
     x2 = x * x
     tiny = 1e-300
+    out = np.empty_like(x)
+    live = np.arange(x.size)
     b = x2 + 0.5
-    c = 1.0 / tiny
+    c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / b
-    f = d
+    f = d.copy()
     for i in range(1, 300):
         an = -i * (i - 0.5)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
         f *= delta
-        if abs(delta - 1.0) < 1e-17:
+        done = np.abs(delta - 1.0) < 1e-17
+        out[live[done]] = f[done]
+        more = ~done
+        live, b, c, d, f = live[more], b[more], c[more], d[more], f[more]
+        if not live.size:
             break
-    return x * math.exp(-x2) * f / _SQRT_PI
+    out[live] = f
+    return x * np.exp(-x2) * out / _SQRT_PI
 
 
 def erf(x):
-    """Error function accurate to ~1 ulp; odd, saturating to +-1."""
-    if isinstance(x, np.ndarray):
-        return np.vectorize(erf)(x)
-    if x == 0.0:
-        return 0.0
-    ax = abs(x)
-    if ax * ax > 708.0:  # exp underflow: erfc is below the subnormal range
-        return math.copysign(1.0, x)
-    if ax < 2.0:
-        val = _erf_series(ax)
-    else:
-        val = 1.0 - _erfc_cf(ax)
-    return math.copysign(val, x)
+    """Error function of a float or an ndarray (shape kept); odd, +-1 at
+    +-inf, NaN for NaN.
+
+    Against 40-digit mpmath on a grid of [-7, 7]: at most 10 ulp for
+    |x| < 2 (series) and at most 1 ulp for |x| >= 2 (continued fraction).
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x).ravel()
+    val = np.full_like(ax, np.nan)
+    with np.errstate(over="ignore"):  # ax*ax = inf still saturates
+        saturated = ax * ax > 708.0  # exp underflow: erfc below subnormals
+    small = ax < 2.0
+    large = ~(saturated | small | np.isnan(ax))
+    val[saturated] = 1.0
+    val[small] = _erf_series(ax[small])
+    val[large] = 1.0 - _erfc_cf(ax[large])
+    out = np.copysign(val.reshape(x.shape), x)
+    return out if out.ndim else float(out)
 
 
 def _norm_cdf(x):
@@ -70,19 +93,22 @@ def _norm_cdf(x):
 
 
 def bs_put(x, t, strike, r, sigma):
-    """Black-Scholes European put value."""
+    """Black-Scholes European put value at spot(s) ``x`` (float or ndarray,
+    shape kept); spots x <= 0 get the discounted strike."""
     if t <= 0:
         raise ValueError("t must be positive")
     if sigma <= 0 or strike <= 0:
         raise ValueError("sigma and strike must be positive")
-    if np.ndim(x) > 0:
-        return np.array([bs_put(xi, t, strike, r, sigma) for xi in x])
-    if x <= 0:
-        return strike * math.exp(-r * t)
+    x = np.asarray(x, dtype=float)
+    discounted = strike * math.exp(-r * t)
+    at_zero = x <= 0
+    spot = np.where(at_zero, strike, x)  # keeps log() finite off the formula
     srt = sigma * math.sqrt(t)
-    d1 = (math.log(x / strike) + (r + 0.5 * sigma * sigma) * t) / srt
+    d1 = (np.log(spot / strike) + (r + 0.5 * sigma * sigma) * t) / srt
     d2 = d1 - srt
-    return strike * math.exp(-r * t) * _norm_cdf(-d2) - x * _norm_cdf(-d1)
+    val = discounted * _norm_cdf(-d2) - spot * _norm_cdf(-d1)
+    out = np.where(at_zero, discounted, val)
+    return out if out.ndim else float(out)
 
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
@@ -90,18 +116,22 @@ _G5X, _G5W = np.polynomial.legendre.leggauss(5)
 
 def l2_error(values, exact, mesh):
     """L2(0, L) distance between the P1 interpolant of ``values`` and the
-    function ``exact``, by 5-point Gauss per element."""
+    function ``exact``, by 5-point Gauss per element.
+
+    ``exact`` must be callable on an ndarray: it is called once, on the
+    (m, 5) array of all Gauss points; a scalar return is broadcast.
+    """
     x = mesh.x
     v = np.asarray(values, dtype=float)
-    total = 0.0
-    for e in range(mesh.m):
-        a, b = x[e], x[e + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid + half * _G5X
-        interp = v[e] + (v[e + 1] - v[e]) * (pts - a) / mesh.h
-        ex = np.array([exact(p) for p in pts])
-        total += half * np.dot(_G5W, (interp - ex) ** 2)
-    return math.sqrt(total)
+    if len(v) != len(x):
+        raise ValueError(f"values has {len(v)} entries but the mesh has "
+                         f"{len(x)} nodes")
+    a = x[:-1, None]
+    half = 0.5 * (x[1:] - x[:-1])
+    pts = 0.5 * (a + x[1:, None]) + half[:, None] * _G5X
+    interp = v[:-1, None] + (v[1:] - v[:-1])[:, None] * (pts - a) / mesh.h
+    ex = np.broadcast_to(exact(pts), pts.shape)
+    return math.sqrt(np.dot(half, (interp - ex) ** 2 @ _G5W))
 
 
 def reduction_rate(e_coarse, e_fine):

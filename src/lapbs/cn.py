@@ -5,11 +5,12 @@ solution.  Both methods run on one :class:`~lapbs.fem1d.Pencil`: a step
 factors S + (2/dt)*M, the pencil at the real shift z = 2/dt, and applies
 (2/dt)*M - S, so the two methods discretize the identical operator.  The
 Dirichlet rows are eliminated in the pencil; each step pins the
-time-domain boundary values.  Robin terms are not used: a transparent
-edge is a natural (Neumann) edge here.
+time-domain boundary values.  The transparent (Robin) condition is
+defined only in the transform domain, so ``march2d`` rejects a
+transparent edge.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -63,8 +64,15 @@ def march1d(mesh, market, config, u0=None, kink=None,
 
 
 def march2d(mesh, basket, config, edges=None, u0=None):
-    """Crank-Nicolson for the basket equation on the triangulated grid."""
-    p = fem2d.pencil(mesh, basket, edges or fem2d.EdgeSpec(), u0=u0)
+    """Crank-Nicolson for the basket equation on the triangulated grid.
+
+    Raises ValueError for a transparent edge, which has no time-domain
+    form here.
+    """
+    edges = edges or fem2d.EdgeSpec()
+    if "transparent" in astuple(edges):
+        raise ValueError(f"march2d has no transparent edge condition: {edges}")
+    p = fem2d.pencil(mesh, basket, edges, u0=u0)
     dt = basket.maturity / config.steps
     lu = splu(p.S + (2.0 / dt) * p.M)
     rhs_op = ((2.0 / dt) * p.M - p.S).tocsr()

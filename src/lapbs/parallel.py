@@ -2,11 +2,13 @@
 
 Each contour node is an independent solve at one shift z of the
 problem's pencil, so workers share nothing but that read-only pencil,
-inherited through the fork.  Node j goes to worker j mod W; the
-result rows are placed by node index, making the assembled ensemble
-bit-identical for any worker count.
+inherited through the fork.  Node j goes to chunk j mod W, one chunk
+per worker; the result rows are placed by node index, making the
+assembled ensemble bit-identical for any worker count.  A pool that
+loses a worker is rebuilt once; any error a node raises propagates.
 """
 
+import logging
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -18,6 +20,8 @@ from .contour import quadrature_nodes
 from .inversion import TransformEnsemble
 
 __all__ = ["SpeedupRow", "ProblemSpec", "solve_ensemble"]
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -109,19 +113,24 @@ def solve_ensemble(spec, contour, workers=1, baseline_time=None):
         _init_worker(spec, pencil, zs)
         chunks = [_run_nodes(a) for a in assignments]
     else:
-        chunks = None
+        # imported here, not at the top: the executor machinery adds tens
+        # of ms to ``import lapbs``, which in-process runs never use
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         for attempt in range(2):
-            ctx = get_context("fork")
             try:
-                with ctx.Pool(processes=len(assignments),
-                              initializer=_init_worker,
-                              initargs=(spec, pencil, zs)) as pool:
-                    chunks = pool.map(_run_nodes, assignments)
+                with ProcessPoolExecutor(max_workers=len(assignments),
+                                         mp_context=get_context("fork"),
+                                         initializer=_init_worker,
+                                         initargs=(spec, pencil, zs)) as pool:
+                    chunks = list(pool.map(_run_nodes, assignments))
                 break
-            except Exception:
-                # one retry: worker loss can be transient (OOM kill, signal)
+            except BrokenProcessPool as err:
+                # a worker died (OOM kill, signal): one fresh pool may succeed
                 if attempt == 1:
                     raise
+                _LOG.warning("worker pool broke (%s); retrying once", err)
     wall = time.perf_counter() - start
 
     for chunk in chunks:

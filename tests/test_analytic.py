@@ -53,6 +53,46 @@ class TestErf:
         # series and continued fraction must agree across |x| = 2
         assert erf(2.0 - 1e-12) == pytest.approx(erf(2.0 + 1e-12), rel=1e-11)
 
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                    min_size=1, max_size=20))
+    def test_array_entry_equals_scalar(self, xs):
+        arr = np.array(xs)
+        got = erf(arr)
+        for i, x in enumerate(arr):
+            want = erf(float(x))
+            assert got[i] == want or (math.isnan(got[i]) and math.isnan(want))
+
+    def test_special_values_in_one_array(self):
+        xs = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0 - 1e-12,
+                       2.0 + 1e-12, 27.0, -27.0, 1.0])
+        got = erf(xs)
+        assert math.isnan(got[0])
+        assert list(got[1:5]) == [1.0, -1.0, 0.0, 0.0]
+        assert got[5] == erf(2.0 - 1e-12) and got[6] == erf(2.0 + 1e-12)
+        assert (got[7], got[8]) == (1.0, -1.0)  # |x|^2 > 708 saturates
+        assert got[9] == pytest.approx(ERF_REFERENCE[1.0], rel=4e-16)
+        assert math.isnan(erf(float("nan")))
+
+    def test_shape_kept_and_scalar_gives_float(self):
+        xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        got = erf(xs)
+        assert got.shape == (3, 4)
+        assert got[1, 2] == erf(float(xs[1, 2]))
+        assert type(erf(0.5)) is float
+        assert type(erf(np.float64(0.5))) is float
+
+    def test_mpmath_grid_oracle(self):
+        # measured bounds: series branch <= 10 ulp, continued fraction <= 1
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(-7.0, 7.0, 2001)
+        got = erf(xs)
+        with mpmath.workdps(40):
+            for x, g in zip(xs, got):
+                want = mpmath.erf(mpmath.mpf(float(x)))
+                ulps = (abs(mpmath.mpf(float(g)) - want)
+                        / np.spacing(abs(float(want))))
+                assert ulps <= (10.0 if abs(x) < 2.0 else 1.0), x
+
 
 class TestBsPut:
     def test_quadrature_oracle(self):
@@ -92,6 +132,24 @@ class TestBsPut:
         got = bs_put(np.array([0.0, 50.0]), 1.0, 50.0, 0.05, 0.3)
         assert got[1] == pytest.approx(PUT_50_ATM, abs=1e-10)
 
+    @given(st.lists(st.floats(-50.0, 1e4), min_size=1, max_size=20))
+    def test_array_entry_equals_scalar(self, spots):
+        arr = np.array(spots)
+        got = bs_put(arr, 0.75, 50.0, 0.05, 0.3)
+        for i, s in enumerate(arr):
+            assert got[i] == bs_put(float(s), 0.75, 50.0, 0.05, 0.3)
+
+    def test_special_spots_in_one_array(self):
+        disc = 50.0 * math.exp(-0.05)
+        spots = np.array([[np.nan, -np.inf, -5.0], [0.0, 50.0, 1e4]])
+        got = bs_put(spots, 1.0, 50.0, 0.05, 0.3)
+        assert got.shape == (2, 3)
+        assert math.isnan(got[0, 0])
+        assert list(got[0, 1:]) == [disc, disc] and got[1, 0] == disc
+        assert got[1, 1] == pytest.approx(PUT_50_ATM, abs=1e-10)
+        assert got[1, 2] == pytest.approx(0.0, abs=1e-12)
+        assert type(bs_put(50.0, 1.0, 50.0, 0.05, 0.3)) is float
+
 
 class TestL2Error:
     def test_exact_match_is_zero(self):
@@ -113,6 +171,23 @@ class TestL2Error:
         vals = mesh.x**2
         want = mesh.h**2 / math.sqrt(30.0)
         assert l2_error(vals, lambda x: x * x, mesh) == pytest.approx(want)
+
+    def test_exact_called_once_on_all_gauss_points(self):
+        mesh = Mesh1D(1.0, 10)
+        shapes = []
+
+        def exact(x):
+            shapes.append(np.shape(x))
+            return x * x
+
+        l2_error(mesh.x**2, exact, mesh)
+        assert shapes == [(10, 5)]
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_wrong_length_values_rejected(self, n):
+        mesh = Mesh1D(4.0, 4)
+        with pytest.raises(ValueError, match=f"{n} entries.*5 nodes"):
+            l2_error(np.ones(n), lambda x: 0.0 * x, mesh)
 
 
 class TestReductionRate:

@@ -100,6 +100,16 @@ class TestMarch2D:
         rel = np.linalg.norm(u_lap - u_cn) / np.linalg.norm(u_cn)
         assert rel < 1e-5
 
+    @pytest.mark.parametrize("edges", [
+        fem2d.EdgeSpec(x1_far="transparent"),
+        fem2d.EdgeSpec(x1_far="transparent", x2_far="transparent"),
+    ], ids=["one_edge", "both_edges"])
+    def test_transparent_edges_rejected(self, edges):
+        # the Robin coefficient depends on z: no time-domain step applies it
+        mesh = fem2d.Mesh2D(150.0, 150.0, 8, 8)
+        with pytest.raises(ValueError, match="transparent"):
+            cn.march2d(mesh, BASKET, cn.MarchConfig(5), edges=edges)
+
     def test_stability_envelope(self):
         mesh = fem2d.Mesh2D(300.0, 300.0, 16, 16)
         u = cn.march2d(mesh, BASKET, cn.MarchConfig(50))

@@ -1,0 +1,29 @@
+"""The demos run end to end on the current sources.
+
+01-03 take about a second each and write no files; 02 and 03 price puts
+through the public API and check them with ``l2_error`` and ``bs_put``.
+04 (the basket ensemble, ~14 s) is left out: ``test_parallel`` covers
+its fan-out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+DEMOS = ["01_contour_inversion.py", "02_put_pricing_convergence.py",
+         "03_transparent_boundary.py"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_zero(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(REPO / "demos" / name)],
+                          cwd=REPO, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

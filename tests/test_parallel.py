@@ -1,3 +1,9 @@
+import logging
+import os
+import signal
+from contextlib import contextmanager
+from multiprocessing import get_context
+
 import numpy as np
 import pytest
 
@@ -74,6 +80,60 @@ class TestSolveEnsemble:
         ens, _ = solve_ensemble(spec, C15, workers=1)
         # transparent far value is free (not pinned to zero)
         assert np.any(ens.values[:, -1] != 0.0)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test, rather than hang it, if the block outlives ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestWorkerFailure:
+    """The counters are shared memory created before the fork, so every
+    worker of every pool attempt updates the same value."""
+
+    def test_killed_worker_retried_once(self, monkeypatch, caplog):
+        spec = ProblemSpec("put1d", MARKET, 40)
+        base, _ = solve_ensemble(spec, C15, workers=1)
+        killed = get_context("fork").Value("i", 0)
+        solve = fem1d.solve
+
+        def die_once(system):
+            with killed.get_lock():
+                first = killed.value == 0
+                killed.value = 1
+            if first:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return solve(system)
+
+        monkeypatch.setattr(fem1d, "solve", die_once)
+        with deadline(30), caplog.at_level(logging.WARNING, "lapbs.parallel"):
+            ens, _ = solve_ensemble(spec, C15, workers=2)
+        assert killed.value == 1
+        assert np.array_equal(ens.values, base.values)
+        assert "retrying once" in caplog.text
+
+    def test_node_error_raised_without_rerun(self, monkeypatch):
+        calls = get_context("fork").Value("i", 0)
+
+        def fail(system):
+            with calls.get_lock():
+                calls.value += 1
+            raise ValueError("residual guard tripped")
+
+        monkeypatch.setattr(fem1d, "solve", fail)
+        with deadline(30), pytest.raises(ValueError, match="residual guard"):
+            solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15, workers=2)
+        assert calls.value == 2  # one failing node per chunk, one attempt
 
 
 class TestSpeedupRow:
