@@ -94,7 +94,7 @@ def _norm_cdf(x):
 
 def bs_put(x, t, strike, r, sigma):
     """Black-Scholes European put value at spot(s) ``x`` (float or ndarray,
-    shape kept); spots x <= 0 get the discounted strike."""
+    shape kept); spots x <= 0 get the discounted strike, x = +inf gets 0."""
     if t <= 0:
         raise ValueError("t must be positive")
     if sigma <= 0 or strike <= 0:
@@ -102,12 +102,14 @@ def bs_put(x, t, strike, r, sigma):
     x = np.asarray(x, dtype=float)
     discounted = strike * math.exp(-r * t)
     at_zero = x <= 0
-    spot = np.where(at_zero, strike, x)  # keeps log() finite off the formula
+    at_inf = x == np.inf
+    # keeps log() finite and inf * N(-inf) out of the formula
+    spot = np.where(at_zero | at_inf, strike, x)
     srt = sigma * math.sqrt(t)
     d1 = (np.log(spot / strike) + (r + 0.5 * sigma * sigma) * t) / srt
     d2 = d1 - srt
     val = discounted * _norm_cdf(-d2) - spot * _norm_cdf(-d1)
-    out = np.where(at_zero, discounted, val)
+    out = np.where(at_zero, discounted, np.where(at_inf, 0.0, val))
     return out if out.ndim else float(out)
 
 

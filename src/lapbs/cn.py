@@ -4,10 +4,12 @@ Used for the Table-1 comparison run and for building the basket reference
 solution.  Both methods run on one :class:`~lapbs.fem1d.Pencil`: a step
 factors S + (2/dt)*M, the pencil at the real shift z = 2/dt, and applies
 (2/dt)*M - S, so the two methods discretize the identical operator.  The
-Dirichlet rows are eliminated in the pencil; each step pins the
-time-domain boundary values.  The transparent (Robin) condition is
-defined only in the transform domain, so ``march2d`` rejects a
-transparent edge.
+Dirichlet rows (and, in 2D, their columns) are eliminated in the pencil;
+each step pins the time-domain boundary values.  Both 2D LUs, the step
+matrix and the projection, come from ``fem2d.factor``, the symmetric
+minimum-degree LU of the Laplace nodes.  The transparent (Robin)
+condition is defined only in the transform domain, so ``march2d``
+rejects a transparent edge.
 """
 
 from dataclasses import astuple, dataclass
@@ -15,7 +17,6 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from . import fem1d, fem2d
 
@@ -74,7 +75,7 @@ def march2d(mesh, basket, config, edges=None, u0=None):
         raise ValueError(f"march2d has no transparent edge condition: {edges}")
     p = fem2d.pencil(mesh, basket, edges, u0=u0)
     dt = basket.maturity / config.steps
-    lu = splu(p.S + (2.0 / dt) * p.M)
+    lu = fem2d.factor(p.S + (2.0 / dt) * p.M)
     rhs_op = ((2.0 / dt) * p.M - p.S).tocsr()
 
     # L2-projected initial data, matching the 1D march
@@ -82,7 +83,8 @@ def march2d(mesh, basket, config, edges=None, u0=None):
     ones = np.ones(len(p.fixed))
     b = p.load.copy()
     b[p.fixed] = 0.0
-    u = splu(p.M + csc_matrix((ones, (p.fixed, p.fixed)), shape=(n, n))).solve(b)
+    proj = p.M + csc_matrix((ones, (p.fixed, p.fixed)), shape=(n, n))
+    u = fem2d.factor(proj).solve(b)
     for _ in range(config.steps):
         b = rhs_op @ u
         b[p.fixed] = 0.0

@@ -148,7 +148,10 @@ class Pencil:
     rows in S, zero rows in M and in each B_k), so a node costs one axpy
     plus the right-hand-side pins: ``values(z)`` at the ``fixed`` rows,
     ``load`` elsewhere.  The matrices are (3, n) bands in ``solve_banded``
-    layout (1D) or CSC (2D).  Crank-Nicolson steps with S + (2/dt)*M.
+    layout (1D) or CSC (2D).  In 2D every Dirichlet value is 0, so the
+    Dirichlet columns are eliminated too: the matrices are structurally
+    symmetric and ``fem2d.factor`` runs a symmetric minimum-degree LU.
+    Crank-Nicolson steps with S + (2/dt)*M.
     """
 
     S: object

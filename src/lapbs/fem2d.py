@@ -23,6 +23,7 @@ __all__ = [
     "build_matrices",
     "pencil",
     "assemble2d",
+    "factor",
     "solve2d",
     "dirichlet_nodes",
     "interpolate_p1",
@@ -202,10 +203,15 @@ def pencil(mesh, basket, edges, u0=None):
     spatial, mass, load = build_matrices(mesh, basket, u0)
     n, m1, m2 = mesh.n_nodes, mesh.m1, mesh.m2
     fixed = dirichlet_nodes(mesh, edges)
-    # left-multiplying by this drops the Dirichlet rows from the structure
+    # free @ X @ free drops the Dirichlet rows and columns from the
+    # structure.  Dropping the columns is exact because every Dirichlet
+    # value is 0, and it leaves each Dirichlet node a pure identity row and
+    # column, so the matrix is structurally symmetric and partial pivoting
+    # keeps the diagonal that a symmetric ordering in `factor` chose.
     free = diags(np.isin(np.arange(n), fixed, invert=True).astype(float))
     robin = tuple(
-        (_robin_term(basket.r, a, L), (free @ _edge_mass(idx, h, n)).tocsc())
+        (_robin_term(basket.r, a, L),
+         (free @ _edge_mass(idx, h, n) @ free).tocsc())
         for cond, a, L, idx, h in (
             (edges.x1_far, basket.a11, basket.L1,
              np.arange(m2 + 1) * (m1 + 1) + m1, mesh.h2),
@@ -213,8 +219,9 @@ def pencil(mesh, basket, edges, u0=None):
              m2 * (m1 + 1) + np.arange(m1 + 1), mesh.h1))
         if cond == "transparent")
     identity = csc_matrix((np.ones(len(fixed)), (fixed, fixed)), shape=(n, n))
-    return Pencil((free @ spatial).tocsc() + identity,
-                  (free @ mass).tocsc(), load, fixed, lambda z: 0.0, robin)
+    return Pencil((free @ spatial @ free).tocsc() + identity,
+                  (free @ mass @ free).tocsc(), load, fixed, lambda z: 0.0,
+                  robin)
 
 
 def assemble2d(mesh, basket, z, edges, u0=None):
@@ -223,10 +230,17 @@ def assemble2d(mesh, basket, z, edges, u0=None):
     return pencil(mesh, basket, edges, u0=u0).at(z)
 
 
+def factor(a):
+    """Sparse LU of a structurally symmetric CSC matrix (a pencil at one
+    shift): symmetric minimum-degree ordering on A^T + A, diagonal pivots."""
+    return splu(a, permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True})
+
+
 def solve2d(system):
     """Direct sparse complex solve with a relative residual guard."""
     a, rhs = system
-    lu = splu(a)
+    lu = factor(a)
     sol = lu.solve(rhs)
     res = np.linalg.norm(a @ sol - rhs)
     scale = np.linalg.norm(rhs)

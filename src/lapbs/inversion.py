@@ -6,7 +6,7 @@ positive partners, so the symmetric sum collapses to
 weight_0*u_0*e^{z_0 t} + 2*Re{sum_{j>=1} weight_j*u_j*e^{z_j t}}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -23,7 +23,6 @@ class TransformEnsemble:
     contour: ContourParams
     nodes: List[QuadNode]
     values: np.ndarray  # shape (N, ndof) complex
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=complex))
@@ -58,7 +57,6 @@ def invert_at(ensemble, t, return_residual=False):
     result = total.real
     residual = float(np.max(np.abs(total.imag)))
     scale = float(np.max(np.abs(result)))
-    ensemble.diagnostics[t] = residual
     if scale > 0 and residual > 1e-10 * scale:
         raise RuntimeError(
             f"imaginary residual {residual:g} exceeds 1e-10 of result scale"

@@ -106,6 +106,12 @@ class TestBsPut:
     def test_deep_out_of_money(self):
         assert bs_put(1e4, 1.0, 50.0, 0.05, 0.3) == pytest.approx(0.0, abs=1e-12)
 
+    def test_huge_and_infinite_spot_are_worthless(self):
+        with np.errstate(all="raise"):
+            got = bs_put(np.array([1e308, np.inf]), 1.0, 50.0, 0.05, 0.3)
+            assert bs_put(float("inf"), 1.0, 50.0, 0.05, 0.3) == 0.0
+        assert list(got) == [0.0, 0.0]
+
     def test_put_call_parity(self):
         # C - P = S - K e^{-rT}; call via parity from two put evaluations
         # against the payoff identity (K - S)_+ - (S - K)_+ = K - S.

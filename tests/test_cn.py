@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from lapbs import cn, fem1d, fem2d
 from lapbs.analytic import bs_put, l2_error, reduction_rate
@@ -83,6 +85,28 @@ class TestMarch2D:
         u = cn.march2d(mesh, BASKET, cn.MarchConfig(5),
                        u0=lambda x1, x2: 0.0 * x1)
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
+
+    def test_matches_default_splu_march(self):
+        # the symmetric ordering changes only the rounding of each solve
+        mesh = fem2d.Mesh2D(300.0, 300.0, 32, 32)
+        config = cn.MarchConfig(20)
+        p = fem2d.pencil(mesh, BASKET, fem2d.EdgeSpec())
+        dt = BASKET.maturity / config.steps
+        lu = splu(p.S + (2.0 / dt) * p.M)
+        rhs_op = (2.0 / dt) * p.M - p.S
+        n = mesh.n_nodes
+        pins = csc_matrix((np.ones(len(p.fixed)), (p.fixed, p.fixed)),
+                          shape=(n, n))
+        b = p.load.copy()
+        b[p.fixed] = 0.0
+        want = splu(p.M + pins).solve(b)
+        for _ in range(config.steps):
+            b = rhs_op @ want
+            b[p.fixed] = 0.0
+            want = lu.solve(b)
+        got = cn.march2d(mesh, BASKET, config)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
     def test_swap_symmetry(self):
         mesh = fem2d.Mesh2D(300.0, 300.0, 16, 16)

@@ -1,9 +1,9 @@
 """The demos run end to end on the current sources.
 
-01-03 take about a second each and write no files; 02 and 03 price puts
-through the public API and check them with ``l2_error`` and ``bs_put``.
-04 (the basket ensemble, ~14 s) is left out: ``test_parallel`` covers
-its fan-out.
+Each takes about one to two seconds and writes no files.  02 and 03
+price puts through the public API and check them with ``l2_error`` and
+``bs_put``; 04 prices the 64x64 basket on 1, 2 and 4 workers and checks
+it against Crank-Nicolson and across worker counts.
 """
 
 import os
@@ -15,7 +15,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = ["01_contour_inversion.py", "02_put_pricing_convergence.py",
-         "03_transparent_boundary.py"]
+         "03_transparent_boundary.py", "04_basket_parallel.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu, spsolve
 
 from lapbs.fem1d import robin_coefficient
 from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass, assemble2d,
-                         build_matrices, dirichlet_nodes, interpolate_p1,
-                         payoff_basket_maxput, pencil, relative_l2, solve2d)
+                         build_matrices, dirichlet_nodes, factor,
+                         interpolate_p1, payoff_basket_maxput, pencil,
+                         relative_l2, solve2d)
 
 BASKET = Basket2D(r=0.05, a11=0.09, a22=0.09, a12=-0.018,
                   strike=100.0, maturity=1.0, L1=300.0, L2=300.0)
@@ -116,8 +118,9 @@ class TestBoundaryHandling:
                                                       x1_far="dirichlet0"))
         diff = (a_d - a_t).tocoo()
         diff.eliminate_zeros()
-        far = set(np.arange(5) * 5 + 4)
-        assert set(diff.row) <= far
+        # switching the edge to Dirichlet drops its rows and its columns
+        far = np.arange(5) * 5 + 4
+        assert np.all(np.isin(diff.row, far) | np.isin(diff.col, far))
 
     def test_dirichlet_rows_are_identity(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
@@ -157,13 +160,48 @@ class TestPencil:
         got = a.toarray()
         fixed = dirichlet_nodes(mesh, edges)
         free = np.setdiff1d(np.arange(mesh.n_nodes), fixed)
-        np.testing.assert_allclose(got[free], want[free], rtol=1e-14)
+        np.testing.assert_allclose(got[np.ix_(free, free)],
+                                   want[np.ix_(free, free)], rtol=1e-14)
+        assert np.all(got[np.ix_(free, fixed)] == 0.0)
         np.testing.assert_array_equal(rhs[free], load[free])
         np.testing.assert_array_equal(got[fixed], np.eye(25)[fixed])
         assert np.all(rhs[fixed] == 0.0)
-        # eliminated up front: M and every B_k carry no Dirichlet row
+        # eliminated up front: M and every B_k carry no Dirichlet row or
+        # column, and S carries only the identity there
         for mat in (p.M, *(b for _, b in p.robin)):
             assert mat.tocsr()[fixed].nnz == 0
+            assert mat.tocsc()[:, fixed].nnz == 0
+        np.testing.assert_array_equal(p.S.toarray()[:, fixed],
+                                      np.eye(25)[:, fixed])
+
+
+FACTOR_EDGES = pytest.mark.parametrize("edges", [
+    EdgeSpec(), EdgeSpec(x1_far="transparent"),
+], ids=["dirichlet", "mixed"])
+
+
+class TestFactor:
+    """Symmetric elimination keeps every diagonal pivot, so the symmetric
+    minimum-degree ordering survives partial pivoting."""
+
+    @pytest.mark.parametrize("z", [2.0, 2.0 + 1.0j, -8.35 + 12.39j])
+    @FACTOR_EDGES
+    def test_diagonal_pivots_and_less_fill(self, edges, z):
+        mesh = Mesh2D(300.0, 300.0, 32, 32)
+        a, _ = pencil(mesh, BASKET, edges).at(z)
+        lu = factor(a)
+        default = splu(a)
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+        nnz = lu.L.nnz + lu.U.nnz
+        assert nnz <= 0.85 * (default.L.nnz + default.U.nnz)
+
+    @FACTOR_EDGES
+    def test_solve_matches_spsolve(self, edges):
+        mesh = Mesh2D(300.0, 300.0, 32, 32)
+        a, rhs = assemble2d(mesh, BASKET, -8.35 + 12.39j, edges)
+        want = spsolve(a, rhs)
+        got = solve2d((a, rhs))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestSolve2D:

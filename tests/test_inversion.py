@@ -80,9 +80,15 @@ class TestInvertAt:
     def test_residual_diagnostics_recorded(self):
         ens = TransformEnsemble.from_evaluator(
             contour(15), lambda z: 1.0 / (z + 1.0))
+        before = dict(vars(ens))
+        values = ens.values.copy()
         _, res = invert_at(ens, 1.0, return_residual=True)
         assert res >= 0.0
-        assert ens.diagnostics[1.0] == res
+        assert invert_at(ens, 1.0, return_residual=True)[1] == res
+        # the residual is returned, not recorded on the ensemble
+        assert vars(ens).keys() == before.keys()
+        assert all(vars(ens)[k] is v for k, v in before.items())
+        np.testing.assert_array_equal(ens.values, values)
 
     def test_invert_many_matches_single_calls(self):
         ens = TransformEnsemble.from_evaluator(
