@@ -1,21 +1,23 @@
 """Crank-Nicolson time marching on the same P1 spatial discretizations.
 
 Used for the Table-1 comparison run and for building the basket reference
-solution.  Both methods run on one :class:`~lapbs.fem1d.Pencil`: a step
-factors S + (2/dt)*M, the pencil at the real shift z = 2/dt, and applies
-(2/dt)*M - S, so the two methods discretize the identical operator.  The
-Dirichlet rows (and, in 2D, their columns) are eliminated in the pencil;
-each step pins the time-domain boundary values.  Both 2D LUs, the step
-matrix and the projection, come from ``fem2d.factor``, the symmetric
-minimum-degree LU of the Laplace nodes.  The transparent (Robin)
-condition is defined only in the transform domain, so ``march2d``
-rejects a transparent edge.
+solution.  Both methods run on one :class:`~lapbs.fem1d.Pencil`: a march
+factors S + (2/dt)*M, the pencil at the real shift z = 2/dt, once, and
+each step applies (2/dt)*M - S and back-solves, so the two methods
+discretize the identical operator.  The Dirichlet rows (and, in 2D,
+their columns) are eliminated in the pencil; each step pins the
+time-domain boundary values.  In 1D the factor is LAPACK's tridiagonal
+LU (``dgttrf``/``dgttrs``).  Both 2D LUs, the step matrix and the
+projection, come from ``fem2d.factor``, the symmetric minimum-degree LU
+of the Laplace nodes.  The transparent (Robin) condition is defined only
+in the transform domain, so ``march2d`` rejects a transparent edge.
 """
 
 from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse import csc_matrix
 
 from . import fem1d, fem2d
@@ -47,6 +49,10 @@ def march1d(mesh, market, config, u0=None, kink=None,
     p = fem1d.pencil(mesh, market, both_ends, u0=u0, kink=kink)
     dt = market.maturity / config.steps
     lhs = p.S + (2.0 / dt) * p.M
+    # the tridiagonal LU once (lower, main, upper band); each step back-solves
+    *lu, info = dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
+    if info:
+        raise np.linalg.LinAlgError(f"singular step matrix at row {info}")
     rhs_op = (2.0 / dt) * p.M - p.S
 
     # L2-projected initial data: consistent with the Galerkin space and
@@ -60,7 +66,7 @@ def march1d(mesh, market, config, u0=None, kink=None,
         t_next = (n + 1) * dt
         b = fem1d._residual(rhs_op, u)
         b[p.fixed] = left_value(t_next), right_value(t_next)
-        u = solve_banded((1, 1), lhs, b).real
+        u = dgttrs(*lu, b)[0]
     return u
 
 

@@ -6,14 +6,27 @@ inherited through the fork.  Node j goes to chunk j mod W, one chunk
 per worker; the result rows are placed by node index, making the
 assembled ensemble bit-identical for any worker count.  A pool that
 loses a worker is rebuilt once; any error a node raises propagates.
+
+The nodes are solved with one BLAS thread per process.  numpy's and
+scipy's bundled OpenBLAS each start one thread per CPU, so W workers
+would oversubscribe the CPUs, and even one process factors more slowly
+with them.  Setting the environment is too late once numpy is loaded,
+so each loaded OpenBLAS is set to one thread through ctypes while the
+nodes run and set back to its old count afterwards; the libraries are
+looked up on the first solve.  Without a known BLAS the solves run
+unchanged, and the ``lapbs.parallel`` logger says so once.
 """
 
+import ctypes
 import logging
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
+import scipy
 
 from . import fem1d, fem2d
 from .contour import quadrature_nodes
@@ -77,6 +90,53 @@ class ProblemSpec:
         return fem2d.solve2d(system)
 
 
+# (package, its bundled-library directory, library glob, symbol suffix)
+# of each OpenBLAS the wheels ship; numpy's is the 64-bit-integer build
+_OPENBLAS = ((np, "numpy.libs", "libscipy_openblas64_*.so", "64_"),
+             (scipy, "scipy.libs", "libscipy_openblas*.so", ""))
+_BLAS = None
+
+
+def _loaded_blas():
+    """(set_num_threads, get_num_threads) of each loaded OpenBLAS, looked
+    up on the first call: ``import lapbs`` does none of this work."""
+    global _BLAS
+    if _BLAS is None:
+        import glob
+
+        _BLAS = []
+        for package, libs, pattern, suffix in _OPENBLAS:
+            site = os.path.dirname(os.path.dirname(package.__file__))
+            name = "scipy_openblas_%s_num_threads" + suffix
+            for path in glob.glob(os.path.join(site, libs, pattern)):
+                try:   # RTLD_NOLOAD: only a library already loaded
+                    lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+                    setter = getattr(lib, name % "set")
+                    getter = getattr(lib, name % "get")
+                except (OSError, AttributeError):
+                    continue
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                _BLAS.append((setter, getter))
+        if not _BLAS:
+            _LOG.info("no known BLAS loaded; node solves use its own threads")
+    return _BLAS
+
+
+@contextmanager
+def _one_blas_thread():
+    """Each loaded OpenBLAS at one thread inside, its old count after."""
+    blas = _loaded_blas()
+    old = [get() for _, get in blas]
+    for set_threads, _ in blas:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(blas, old):
+            set_threads(count)
+
+
 _WORKER_STATE = {}
 
 
@@ -87,6 +147,27 @@ def _init_worker(spec, pencil, zs):
 def _run_nodes(node_ids):
     spec, pencil, zs = (_WORKER_STATE[k] for k in ("spec", "pencil", "zs"))
     return [(j, spec.solve(pencil.at(zs[j]))) for j in node_ids]
+
+
+def _run_pool(spec, pencil, zs, assignments):
+    """One forked worker per chunk; a pool that breaks is rebuilt once."""
+    # imported here, not at the top: the executor machinery adds tens
+    # of ms to ``import lapbs``, which in-process runs never use
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    for attempt in range(2):
+        try:
+            with ProcessPoolExecutor(max_workers=len(assignments),
+                                     mp_context=get_context("fork"),
+                                     initializer=_init_worker,
+                                     initargs=(spec, pencil, zs)) as pool:
+                return list(pool.map(_run_nodes, assignments))
+        except BrokenProcessPool as err:
+            # a worker died (OOM kill, signal): one fresh pool may succeed
+            if attempt == 1:
+                raise
+            _LOG.warning("worker pool broke (%s); retrying once", err)
 
 
 def solve_ensemble(spec, contour, workers=1, baseline_time=None):
@@ -109,28 +190,12 @@ def solve_ensemble(spec, contour, workers=1, baseline_time=None):
 
     results = [None] * n
     start = time.perf_counter()
-    if workers == 1:
-        _init_worker(spec, pencil, zs)
-        chunks = [_run_nodes(a) for a in assignments]
-    else:
-        # imported here, not at the top: the executor machinery adds tens
-        # of ms to ``import lapbs``, which in-process runs never use
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        for attempt in range(2):
-            try:
-                with ProcessPoolExecutor(max_workers=len(assignments),
-                                         mp_context=get_context("fork"),
-                                         initializer=_init_worker,
-                                         initargs=(spec, pencil, zs)) as pool:
-                    chunks = list(pool.map(_run_nodes, assignments))
-                break
-            except BrokenProcessPool as err:
-                # a worker died (OOM kill, signal): one fresh pool may succeed
-                if attempt == 1:
-                    raise
-                _LOG.warning("worker pool broke (%s); retrying once", err)
+    with _one_blas_thread():
+        if workers == 1:
+            _init_worker(spec, pencil, zs)
+            chunks = [_run_nodes(a) for a in assignments]
+        else:
+            chunks = _run_pool(spec, pencil, zs, assignments)
     wall = time.perf_counter() - start
 
     for chunk in chunks:

@@ -72,6 +72,25 @@ class TestMarch1D:
         got = cn.march1d(mesh, MARKET, cn.MarchConfig(1))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    def test_matches_per_step_banded_solve(self):
+        # reference: the march with the step matrix re-solved every step
+        mesh = fem1d.Mesh1D(200.0, 160)
+        bc = fem1d.BoundarySpec(left=lambda z: 0.0, right=lambda z: 0.0)
+        p = fem1d.pencil(mesh, MARKET, bc)
+        steps = 160
+        dt = MARKET.maturity / steps
+        proj = p.M.copy()
+        proj[1, [0, -1]] = 1.0
+        b = p.load.copy()
+        b[[0, -1]] = MARKET.strike, 0.0
+        u = solve_banded((1, 1), proj, b)
+        for n in range(1, steps + 1):
+            b = fem1d._residual((2.0 / dt) * p.M - p.S, u)
+            b[[0, -1]] = MARKET.strike * np.exp(-MARKET.r * n * dt), 0.0
+            u = solve_banded((1, 1), p.S + (2.0 / dt) * p.M, b)
+        got = cn.march1d(mesh, MARKET, cn.MarchConfig(steps))
+        np.testing.assert_allclose(got, u, rtol=1e-13, atol=1e-13)
+
     def test_boundary_values_imposed(self):
         mesh = fem1d.Mesh1D(200.0, 80)
         u = cn.march1d(mesh, MARKET, cn.MarchConfig(80))

@@ -33,6 +33,8 @@ class TestEnsemble:
             TransformEnsemble(c, half[:-1], np.ones((14, 1), dtype=complex))
         with pytest.raises(ValueError):
             TransformEnsemble(c, half, np.ones((14, 1), dtype=complex))
+        with pytest.raises(ValueError):
+            TransformEnsemble(c, half[::-1], np.ones((15, 1), dtype=complex))
 
 
 class TestInvertAt:
@@ -96,6 +98,41 @@ class TestInvertAt:
         times = [0.5, 1.0, 1.5]
         many = invert_many(ens, times)
         assert many == [invert_at(ens, t) for t in times]
+
+
+class TestGuardAndInputs:
+    def test_non_real_transform_raises(self):
+        # (1+1j)/(z+1) is not real on the real axis: node 0 keeps an
+        # imaginary part of order the result itself
+        ens = TransformEnsemble.from_evaluator(
+            contour(15), lambda z: (1 + 1j) / (z + 1.0))
+        with pytest.raises(RuntimeError, match="imaginary residual"):
+            invert_at(ens, 1.0)
+        with pytest.raises(RuntimeError, match="imaginary residual"):
+            invert_many(ens, [0.5, 1.0])
+
+    @pytest.mark.parametrize("times", [[0.5, 0.0], [-1.0], [1.0, -0.25]])
+    def test_invert_many_rejects_nonpositive_times(self, times):
+        ens = TransformEnsemble.from_evaluator(contour(15), lambda z: 1.0 / z)
+        with pytest.raises(ValueError):
+            invert_many(ens, times)
+
+    def test_matches_per_node_reference_sum(self):
+        # node 0 once, every other node with its conjugate: twice its real part
+        c = contour(15)
+        half = [q for q in quadrature_nodes(c) if q.j >= 0]
+        shifts = (0.05, 0.5, 1.0, 2.0)
+        ens = TransformEnsemble(
+            c, half, [[1.0 / (q.z + a) for a in shifts] for q in half])
+        times = [0.25, 0.5, 1.0]
+        for t, many in zip(times, invert_many(ens, times)):
+            ref = np.array([
+                math.fsum((1 if q.j == 0 else 2)
+                          * (q.weight * np.exp(q.z * t) * u).real
+                          for q, u in zip(half, ens.values[:, i]))
+                for i in range(len(shifts))])
+            np.testing.assert_allclose(invert_at(ens, t), ref, rtol=1e-13)
+            np.testing.assert_allclose(many, ref, rtol=1e-13)
 
 
 class TestDirectTrapezoid:

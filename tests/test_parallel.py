@@ -7,7 +7,7 @@ from multiprocessing import get_context
 import numpy as np
 import pytest
 
-from lapbs import fem1d, fem2d
+from lapbs import fem1d, fem2d, parallel
 from lapbs.contour import ContourParams
 from lapbs.experiments import EX3_CONTOUR
 from lapbs.parallel import ProblemSpec, SpeedupRow, solve_ensemble
@@ -135,6 +135,68 @@ class TestWorkerFailure:
             solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15, workers=2)
         assert calls.value == 2  # one failing node per chunk, one attempt
 
+
+class TestBlasCap:
+    """Each loaded OpenBLAS runs the nodes at one thread and reads its own
+    count again afterwards.  The fixture starts every library at 2
+    threads, so a count left at 1 shows."""
+
+    @pytest.fixture
+    def blas(self):
+        blas = parallel._loaded_blas()
+        if not blas:
+            pytest.skip("no known BLAS loaded")
+        saved = [get() for _, get in blas]
+        for set_threads, _ in blas:
+            set_threads(2)
+        yield blas
+        for (set_threads, _), count in zip(blas, saved):
+            set_threads(count)
+
+    @staticmethod
+    def counts(blas):
+        return [get() for _, get in blas]
+
+    def test_one_thread_during_solves_then_restored(self, blas, monkeypatch):
+        before, seen = self.counts(blas), []
+        solve = fem1d.solve
+
+        def record(system):
+            seen.append(self.counts(blas))
+            return solve(system)
+
+        monkeypatch.setattr(fem1d, "solve", record)
+        solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15, workers=1)
+        assert seen == [[1] * len(blas)] * 15
+        assert self.counts(blas) == before
+
+    def test_restored_after_pool(self, blas):
+        before = self.counts(blas)
+        solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15, workers=2)
+        assert self.counts(blas) == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restored_when_a_node_raises(self, blas, monkeypatch, workers):
+        def fail(system):
+            raise ValueError("residual guard tripped")
+
+        before = self.counts(blas)
+        monkeypatch.setattr(fem1d, "solve", fail)
+        with deadline(30), pytest.raises(ValueError, match="residual guard"):
+            solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15,
+                           workers=workers)
+        assert self.counts(blas) == before
+
+
+    def test_no_known_blas_runs_and_logs_once(self, monkeypatch, caplog):
+        spec = ProblemSpec("put1d", MARKET, 40)
+        base, _ = solve_ensemble(spec, C15, workers=1)
+        monkeypatch.setattr(parallel, "_OPENBLAS", ())
+        monkeypatch.setattr(parallel, "_BLAS", None)
+        with caplog.at_level(logging.INFO, "lapbs.parallel"):
+            runs = [solve_ensemble(spec, C15, workers=1)[0] for _ in range(2)]
+        assert all(np.array_equal(e.values, base.values) for e in runs)
+        assert caplog.text.count("no known BLAS") == 1
 
 class TestSpeedupRow:
     def test_fields(self):
