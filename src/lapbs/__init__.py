@@ -8,11 +8,10 @@ time-domain prices are recovered by spectral quadrature inversion.
 from .analytic import bs_put, erf, l2_error, reduction_rate
 from .contour import (ContourParams, QuadNode, kappa_bound, mu, omega_of_y,
                       quadrature_nodes, validate)
-from .fem1d import (BoundarySpec, ComplexField, Market1D, Mesh1D, payoff_put,
-                    left_dirichlet_transform, robin_coefficient,
-                    solve_transformed)
-from .fem2d import (Basket2D, EdgeSpec, Mesh2D, assemble2d,
-                    payoff_basket_maxput, relative_l2, solve2d)
+from .fem1d import (BoundarySpec, Market1D, Mesh1D, payoff_put,
+                    left_dirichlet_transform, robin_coefficient)
+from .fem2d import (Basket2D, EdgeSpec, Mesh2D, payoff_basket_maxput,
+                    relative_l2, solve2d)
 from .cn import MarchConfig, march1d, march2d
 from .inversion import (TransformEnsemble, direct_trapezoid, invert_at,
                         invert_many)

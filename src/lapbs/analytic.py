@@ -94,19 +94,24 @@ def _norm_cdf(x):
 
 def bs_put(x, t, strike, r, sigma):
     """Black-Scholes European put value at spot(s) ``x`` (float or ndarray,
-    shape kept); spots x <= 0 get the discounted strike, x = +inf gets 0."""
+    shape kept); spots x <= 0, and those so small that x/strike underflows
+    to 0, get the discounted strike; x = +inf gets 0."""
     if t <= 0:
         raise ValueError("t must be positive")
     if sigma <= 0 or strike <= 0:
         raise ValueError("sigma and strike must be positive")
     x = np.asarray(x, dtype=float)
     discounted = strike * math.exp(-r * t)
-    at_zero = x <= 0
+    with np.errstate(under="ignore"):  # a subnormal spot's ratio
+        ratio = x / strike
+    at_zero = ratio <= 0
     at_inf = x == np.inf
     # keeps log() finite and inf * N(-inf) out of the formula
-    spot = np.where(at_zero | at_inf, strike, x)
+    special = at_zero | at_inf
+    spot = np.where(special, strike, x)
     srt = sigma * math.sqrt(t)
-    d1 = (np.log(spot / strike) + (r + 0.5 * sigma * sigma) * t) / srt
+    d1 = (np.log(np.where(special, 1.0, ratio))
+          + (r + 0.5 * sigma * sigma) * t) / srt
     d2 = d1 - srt
     val = discounted * _norm_cdf(-d2) - spot * _norm_cdf(-d1)
     out = np.where(at_zero, discounted, np.where(at_inf, 0.0, val))

@@ -4,16 +4,18 @@ Used for the Table-1 comparison run and for building the basket reference
 solution.  Both methods run on one :class:`~lapbs.fem1d.Pencil`: a march
 factors S + (2/dt)*M, the pencil at the real shift z = 2/dt, once, and
 each step applies (2/dt)*M - S and back-solves, so the two methods
-discretize the identical operator.  The Dirichlet rows (and, in 2D,
-their columns) are eliminated in the pencil; each step pins the
-time-domain boundary values.  In 1D the factor is LAPACK's tridiagonal
-LU (``dgttrf``/``dgttrs``).  Both 2D LUs, the step matrix and the
+discretize the identical operator.  The marches price the put problems
+only: the payoff is the initial data, the 1D ends hold K*exp(-r*t) at
+x = 0 and 0 at x = L, and the 2D edges are ``EdgeSpec()``'s (zero flux at
+the axes, 0 at the far edges).  The Dirichlet rows (and, in 2D, their
+columns) are eliminated in the pencil; each step pins the boundary
+values.  In 1D the factor is LAPACK's tridiagonal LU
+(``dgttrf``/``dgttrs``).  Both 2D LUs, the step matrix and the
 projection, come from ``fem2d.factor``, the symmetric minimum-degree LU
-of the Laplace nodes.  The transparent (Robin) condition is defined only
-in the transform domain, so ``march2d`` rejects a transparent edge.
+of the Laplace nodes.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -34,19 +36,12 @@ class MarchConfig:
             raise ValueError("steps must be >= 1")
 
 
-def march1d(mesh, market, config, u0=None, kink=None,
-            left_value=None, right_value=None):
-    """theta = 1/2 two-level scheme; Dirichlet data imposed each step.
-
-    ``left_value``/``right_value`` are time-domain boundary data t -> value;
-    defaults are the put problem's K*exp(-r*t) and 0.
-    """
-    if left_value is None:
-        left_value = lambda t: market.strike * np.exp(-market.r * t)
-    if right_value is None:
-        right_value = lambda t: 0.0
+def march1d(mesh, market, config):
+    """theta = 1/2 two-level scheme for the put; the end values are
+    pinned each step."""
+    ends = lambda t: (market.strike * np.exp(-market.r * t), 0.0)
     both_ends = fem1d.BoundarySpec(left=lambda z: 0.0, right=lambda z: 0.0)
-    p = fem1d.pencil(mesh, market, both_ends, u0=u0, kink=kink)
+    p = fem1d.pencil(mesh, market, both_ends)
     dt = market.maturity / config.steps
     lhs = p.S + (2.0 / dt) * p.M
     # the tridiagonal LU once (lower, main, upper band); each step back-solves
@@ -60,26 +55,18 @@ def march1d(mesh, market, config, u0=None, kink=None,
     proj = p.M.copy()
     proj[1, p.fixed] = 1.0
     b = p.load.copy()
-    b[p.fixed] = left_value(0.0), right_value(0.0)
+    b[p.fixed] = ends(0.0)
     u = solve_banded((1, 1), proj, b)
     for n in range(config.steps):
-        t_next = (n + 1) * dt
         b = fem1d._residual(rhs_op, u)
-        b[p.fixed] = left_value(t_next), right_value(t_next)
+        b[p.fixed] = ends((n + 1) * dt)
         u = dgttrs(*lu, b)[0]
     return u
 
 
-def march2d(mesh, basket, config, edges=None, u0=None):
-    """Crank-Nicolson for the basket equation on the triangulated grid.
-
-    Raises ValueError for a transparent edge, which has no time-domain
-    form here.
-    """
-    edges = edges or fem2d.EdgeSpec()
-    if "transparent" in astuple(edges):
-        raise ValueError(f"march2d has no transparent edge condition: {edges}")
-    p = fem2d.pencil(mesh, basket, edges, u0=u0)
+def march2d(mesh, basket, config):
+    """Crank-Nicolson for the basket put on the triangulated grid."""
+    p = fem2d.pencil(mesh, basket, fem2d.EdgeSpec())
     dt = basket.maturity / config.steps
     lu = fem2d.factor(p.S + (2.0 / dt) * p.M)
     rhs_op = ((2.0 / dt) * p.M - p.S).tocsr()

@@ -74,8 +74,7 @@ class ExperimentConfig:
     def contour(self, n):
         for row in self.contours:
             if row["n"] == n:
-                return ContourParams(row["gamma"], row["nu"], row["s"],
-                                     row["tau"], row["n"])
+                return _contour(row)
         raise KeyError(f"no contour row for n={n}")
 
     def market(self):
@@ -113,12 +112,22 @@ def load_config(path=None, example=None):
     return base
 
 
-def _validate_contours(cfg, mu_val):
-    for row in cfg.contours:
-        p = ContourParams(row["gamma"], row["nu"], row["s"], row["tau"], row["n"])
-        ok, violations = validate(p, kappa_bound(row["s"], mu_val))
+def _contour(row):
+    return ContourParams(row["gamma"], row["nu"], row["s"], row["tau"],
+                         row["n"])
+
+
+def _prepare_run(cfg, contours, mu_val):
+    """Check the worker counts and that every contour clears its kappa
+    bound, then make the output directory: a bad config writes nothing."""
+    bad = [w for w in (cfg.workers, *cfg.worker_sweep) if w < 1]
+    if bad:
+        raise ValueError(f"worker counts must be >= 1, got {bad}")
+    for c in contours:
+        ok, violations = validate(c, kappa_bound(c.s, mu_val))
         if not ok:
-            raise ValueError(f"contour row n={row['n']} inadmissible: {violations}")
+            raise ValueError(f"contour n={c.n} inadmissible: {violations}")
+    os.makedirs(cfg.out, exist_ok=True)
 
 
 def _write_csv(path, header, rows):
@@ -136,87 +145,86 @@ def _fmt_rate(r):
     return "" if r is None or np.isnan(r) else f"{r:.3f}"
 
 
-def _laplace_sweep_1d(cfg, contour, right_bc, meshes, exact):
-    """One (error, rate) row per mesh size; returns rows + diagnostics."""
-    rows = []
-    residuals = []
-    prev = None
-    for m in meshes:
-        spec = ProblemSpec("put1d", cfg.market(), m, right_bc=right_bc)
+def _rates(errors):
+    """The reduction rate of each error from the one before; NaN first."""
+    return [float("nan")] + [reduction_rate(a, b)
+                             for a, b in zip(errors, errors[1:])]
+
+
+def _jobs(kind, market, meshes, contour, **bc):
+    """One (spec, contour) job per mesh size, for ``_sweep``."""
+    return [(ProblemSpec(kind, market, m, **bc), contour) for m in meshes]
+
+
+def _sweep(cfg, jobs, error):
+    """Solve each (spec, contour) job, invert it at the maturity and
+    measure it by ``error(u, mesh)``.  Returns one (mesh, error, rate, u)
+    row per job, the rate taken over the jobs' order, and the imaginary
+    residual of each inversion."""
+    rows, residuals = [], []
+    for spec, contour in jobs:
         ensemble, _ = solve_ensemble(spec, contour, workers=cfg.workers)
         u, res = invert_at(ensemble, cfg.maturity, return_residual=True)
         mesh = spec.mesh()
-        err = l2_error(u, exact, mesh)
-        rate = reduction_rate(prev, err) if prev is not None else float("nan")
-        rows.append((m, mesh.h, err, rate, u))
+        rows.append((mesh, error(u, mesh), u))
         residuals.append(res)
-        prev = err
-    return rows, residuals
+    rates = _rates([e for _, e, _ in rows])
+    return [(mesh, e, r, u) for (mesh, e, u), r in zip(rows, rates)], residuals
+
+
+def _error_table(cfg, name, first, error_name, rows):
+    """CSV of (first column, space meshes, mesh size, error, rate) rows."""
+    _write_csv(
+        os.path.join(cfg.out, name),
+        [first, "Number of space meshes", "Mesh size", error_name,
+         "Reduction rate"],
+        [(str(a), str(m), f"{h:g}", _fmt_err(e), _fmt_rate(r))
+         for a, m, h, e, r in rows],
+    )
 
 
 def run_example1(cfg):
     """Tables 1-3: CN sweep, Laplace sweep at N=15, contour-size study."""
-    os.makedirs(cfg.out, exist_ok=True)
-    market = cfg.market()
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
-    _validate_contours(cfg, mu_val)
+    contours = [_contour(row) for row in cfg.contours]
+    _prepare_run(cfg, contours, mu_val)
+    market = cfg.market()
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
+    error = lambda u, mesh: l2_error(u, exact, mesh)
 
     # Table 1: Crank-Nicolson, steps = meshes
-    t1 = []
-    prev = None
-    for m in cfg.meshes:
-        mesh = fem1d.Mesh1D(cfg.L, m)
-        u = cn.march1d(mesh, market, cn.MarchConfig(m))
-        err = l2_error(u, exact, mesh)
-        rate = reduction_rate(prev, err) if prev is not None else float("nan")
-        t1.append((m, m, mesh.h, err, rate))
-        prev = err
-    _write_csv(
-        os.path.join(cfg.out, "table1.csv"),
-        ["Time steps", "Number of space meshes", "Mesh size",
-         "Error in L2", "Reduction rate"],
-        [(str(s), str(m), f"{h:g}", _fmt_err(e), _fmt_rate(r))
-         for s, m, h, e, r in t1],
-    )
+    meshes = [fem1d.Mesh1D(cfg.L, m) for m in cfg.meshes]
+    e1 = [error(cn.march1d(mesh, market, cn.MarchConfig(mesh.m)), mesh)
+          for mesh in meshes]
+    t1 = list(zip(meshes, e1, _rates(e1)))
+    _error_table(cfg, "table1.csv", "Time steps", "Error in L2",
+                 [(mesh.m, mesh.m, mesh.h, e, r) for mesh, e, r in t1])
 
     # Table 2: Laplace at N = 15
     c15 = cfg.contour(15)
-    t2, res2 = _laplace_sweep_1d(cfg, c15, "dirichlet0", cfg.meshes, exact)
-    _write_csv(
-        os.path.join(cfg.out, "table2.csv"),
-        ["Number of z", "Number of space meshes", "Mesh size",
-         "Error in L2", "Reduction rate"],
-        [(str(c15.n), str(m), f"{h:g}", _fmt_err(e), _fmt_rate(r))
-         for m, h, e, r, _ in t2],
-    )
+    t2, res2 = _sweep(cfg, _jobs("put1d", market, cfg.meshes, c15), error)
+    _error_table(cfg, "table2.csv", "Number of z", "Error in L2",
+                 [(c15.n, mesh.m, mesh.h, e, r) for mesh, e, r, _ in t2])
 
     # Table 3: contour-size study at the finest mesh (paper: 2560 meshes)
     m_fine = 2560
-    t3 = []
-    prev = None
-    for row in cfg.contours:
-        contour = cfg.contour(row["n"])
-        rows, _ = _laplace_sweep_1d(cfg, contour, "dirichlet0", [m_fine], exact)
-        err = rows[0][2]
-        rate = reduction_rate(prev, err) if prev is not None else float("nan")
-        t3.append((row, err, rate))
-        prev = err
+    spec = ProblemSpec("put1d", market, m_fine)
+    t3, _ = _sweep(cfg, [(spec, c) for c in contours], error)
     _write_csv(
         os.path.join(cfg.out, "table3.csv"),
         ["Number of z", "Number of space meshes", "L2-Error",
          "Reduction rate", "gamma", "nu", "s", "tau"],
-        [(str(row["n"]), str(m_fine), _fmt_err(e), _fmt_rate(r),
-          f"{row['gamma']:g}", f"{row['nu']:g}", f"{row['s']:g}",
-          f"{row['tau']:g}") for row, e, r in t3],
+        [(str(c.n), str(m_fine), _fmt_err(e), _fmt_rate(r), f"{c.gamma:g}",
+          f"{c.nu:g}", f"{c.s:g}", f"{c.tau:g}")
+         for c, (_, e, r, _) in zip(contours, t3)],
     )
 
     report = {
         "example": "ex1",
         "kappa": kappa_bound(CONTOUR_SLOPE, mu_val),
-        "table1": [(m, e, r) for _, m, _, e, r in t1],
-        "table2": [(m, e, r) for m, _, e, r, _ in t2],
-        "table3": [(row["n"], e, r) for row, e, r in t3],
+        "table1": [(mesh.m, e, r) for mesh, e, r in t1],
+        "table2": [(mesh.m, e, r) for mesh, e, r, _ in t2],
+        "table3": [(c.n, e, r) for c, (_, e, r, _) in zip(contours, t3)],
         "imag_residuals": res2,
     }
     _write_manifest(cfg, report)
@@ -225,34 +233,32 @@ def run_example1(cfg):
 
 def run_example2(cfg):
     """Tables 4-5 and the Fig. 1 curves: boundary-condition study at L=50."""
-    os.makedirs(cfg.out, exist_ok=True)
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
-    _validate_contours(cfg, mu_val)
+    _prepare_run(cfg, [_contour(row) for row in cfg.contours], mu_val)
+    market = cfg.market()
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
+    error = lambda u, mesh: l2_error(u, exact, mesh)
     c15 = cfg.contour(15)
 
-    t4, res4 = _laplace_sweep_1d(cfg, c15, "dirichlet0", cfg.meshes, exact)
-    t5, res5 = _laplace_sweep_1d(cfg, c15, "transparent", cfg.meshes, exact)
+    t4, res4 = _sweep(cfg, _jobs("put1d", market, cfg.meshes, c15), error)
+    t5, res5 = _sweep(cfg, _jobs("put1d", market, cfg.meshes, c15,
+                                 right_bc="transparent"), error)
     for name, rows in (("table4.csv", t4), ("table5.csv", t5)):
-        _write_csv(
-            os.path.join(cfg.out, name),
-            ["Number of z", "Number of space meshes", "Mesh size",
-             "Error in L2", "Reduction rate"],
-            [(str(c15.n), str(m), f"{h:g}", _fmt_err(e), _fmt_rate(r))
-             for m, h, e, r, _ in rows],
-        )
+        _error_table(cfg, name, "Number of z", "Error in L2",
+                     [(c15.n, mesh.m, mesh.h, e, r)
+                      for mesh, e, r, _ in rows])
 
     # Fig. 1 data: T=1 curves on the finest mesh
-    mesh = fem1d.Mesh1D(cfg.L, cfg.meshes[-1])
+    mesh, _, _, u_dirichlet = t4[-1]
     with open(os.path.join(cfg.out, "fig1.dat"), "w") as f:
         f.write("# x dirichlet transparent exact\n")
-        for x, ud, ut in zip(mesh.x, t4[-1][4], t5[-1][4]):
+        for x, ud, ut in zip(mesh.x, u_dirichlet, t5[-1][3]):
             f.write(f"{x:.10g} {ud:.10g} {ut:.10g} {exact(x):.10g}\n")
 
     report = {
         "example": "ex2",
-        "table4": [(m, e, r) for m, _, e, r, _ in t4],
-        "table5": [(m, e, r) for m, _, e, r, _ in t5],
+        "table4": [(mesh.m, e, r) for mesh, e, r, _ in t4],
+        "table5": [(mesh.m, e, r) for mesh, e, r, _ in t5],
         "imag_residuals": res4 + res5,
     }
     _write_manifest(cfg, report)
@@ -279,25 +285,6 @@ def reference_solution(cfg=None, rebuild=False):
     return values, mesh
 
 
-def _basket_sweep(cfg, basket, edges, meshes, ref, refmesh):
-    """One (mesh, error, rate) row per mesh size; the relative-L2 window
-    is the basket's own domain."""
-    rows = []
-    residuals = []
-    prev = None
-    for m in meshes:
-        spec = ProblemSpec("basket2d", basket, m, edges=edges)
-        ensemble, _ = solve_ensemble(spec, EX3_CONTOUR, workers=cfg.workers)
-        u, res = invert_at(ensemble, cfg.maturity, return_residual=True)
-        mesh = spec.mesh()
-        err = fem2d.relative_l2(u, mesh, ref, refmesh, basket.L1, basket.L2)
-        rate = reduction_rate(prev, err) if prev is not None else float("nan")
-        rows.append((m, mesh, err, rate, u))
-        residuals.append(res)
-        prev = err
-    return rows, residuals
-
-
 def run_example3(cfg):
     """Tables 6-8 and the Fig. 2 surface: the two-asset basket study.
 
@@ -307,56 +294,51 @@ def run_example3(cfg):
     [0,150]^2.  Table 8 times the 128x128 solve on ``cfg.basket()``
     ([0,L1] x [0,L2]).
     """
-    os.makedirs(cfg.out, exist_ok=True)
-    mu_val = mu(cfg.r, np.sqrt(min(cfg.a11, cfg.a22)), np.sqrt(max(cfg.a11, cfg.a22)), True)
-    ok, violations = validate(EX3_CONTOUR, kappa_bound(EX3_CONTOUR.s, mu_val))
-    if not ok:
-        raise ValueError(f"ex3 contour inadmissible: {violations}")
+    mu_val = mu(cfg.r, np.sqrt(min(cfg.a11, cfg.a22)),
+                np.sqrt(max(cfg.a11, cfg.a22)), True)
+    _prepare_run(cfg, [EX3_CONTOUR], mu_val)
     ref, refmesh = reference_solution(cfg)
+    # relative L2 distance from the reference over each mesh's own domain
+    error = lambda u, mesh: fem2d.relative_l2(u, mesh, ref, refmesh,
+                                              mesh.L1, mesh.L2)
 
     # Table 6: Dirichlet truncation on the reference domain [0,600]^2
     basket6 = replace(cfg.basket(), L1=refmesh.L1, L2=refmesh.L2)
-    t6, res6 = _basket_sweep(cfg, basket6, fem2d.EdgeSpec(), cfg.meshes,
-                             ref, refmesh)
-    _write_csv(
-        os.path.join(cfg.out, "table6.csv"),
-        ["Number of z", "Number of space meshes", "Mesh size",
-         "Relative error in L2", "Reduction rate"],
-        [(str(EX3_CONTOUR.n), f"{m}x{m}", f"{mesh.h1:g}", _fmt_err(e),
-          _fmt_rate(r)) for m, mesh, e, r, _ in t6],
-    )
+    t6, res6 = _sweep(cfg, _jobs("basket2d", basket6, cfg.meshes,
+                                 EX3_CONTOUR), error)
+    _error_table(cfg, "table6.csv", "Number of z", "Relative error in L2",
+                 [(EX3_CONTOUR.n, f"{mesh.m1}x{mesh.m2}", mesh.h1, e, r)
+                  for mesh, e, r, _ in t6])
 
     # Table 7: boundary-condition comparison on [0,150]^2
-    basket150 = fem2d.Basket2D(cfg.r, cfg.a11, cfg.a22, cfg.a12,
-                               cfg.basket_strike, cfg.maturity, 150.0, 150.0)
+    basket150 = replace(cfg.basket(), L1=150.0, L2=150.0)
     meshes7 = [m for m in cfg.meshes if m <= 64]
-    t7d, _ = _basket_sweep(cfg, basket150, fem2d.EdgeSpec(), meshes7,
-                           ref, refmesh)
-    t7t, _ = _basket_sweep(
-        cfg, basket150,
-        fem2d.EdgeSpec(x1_far="transparent", x2_far="transparent"),
-        meshes7, ref, refmesh)
+    t7d, _ = _sweep(cfg, _jobs("basket2d", basket150, meshes7, EX3_CONTOUR),
+                    error)
+    t7t, _ = _sweep(cfg, _jobs(
+        "basket2d", basket150, meshes7, EX3_CONTOUR,
+        edges=fem2d.EdgeSpec(x1_far="transparent", x2_far="transparent")),
+        error)
+    t7 = [(mesh, ed, et) for (mesh, ed, _, _), (_, et, _, _)
+          in zip(t7d, t7t)]
     _write_csv(
         os.path.join(cfg.out, "table7.csv"),
         ["Number of z", "Number of space meshes", "Mesh size",
          "Relative error in L2 (Dirichlet)",
          "Relative error in L2 (Transparent)"],
-        [(str(EX3_CONTOUR.n), f"{m}x{m}", f"{mesh.h1:g}", _fmt_err(ed),
-          _fmt_err(et))
-         for (m, mesh, ed, _, _), (_, _, et, _, _) in zip(t7d, t7t)],
+        [(str(EX3_CONTOUR.n), f"{mesh.m1}x{mesh.m2}", f"{mesh.h1:g}",
+          _fmt_err(ed), _fmt_err(et)) for mesh, ed, et in t7],
     )
 
     # Table 8: parallel speedup on the 128x128 workload
-    spec = ProblemSpec("basket2d", cfg.basket(), 128, edges=fem2d.EdgeSpec())
+    spec = ProblemSpec("basket2d", cfg.basket(), 128)
     t8 = []
     baseline = None
-    ref_ensemble = None
     for w in cfg.worker_sweep:
-        ensemble, row = solve_ensemble(spec, EX3_CONTOUR, workers=w,
-                                       baseline_time=baseline)
+        _, row = solve_ensemble(spec, EX3_CONTOUR, workers=w,
+                                baseline_time=baseline)
         if w == 1:
             baseline = row.wall_time
-            ref_ensemble = ensemble
         t8.append(row)
     _write_csv(
         os.path.join(cfg.out, "table8.csv"),
@@ -366,7 +348,7 @@ def run_example3(cfg):
     )
 
     # Fig. 2 data: price surface at T on Table 6's finest mesh
-    _, mesh, _, _, u = t6[-1]
+    mesh, _, _, u = t6[-1]
     surface = u.reshape(mesh.m2 + 1, mesh.m1 + 1)
     with open(os.path.join(cfg.out, "fig2.dat"), "w") as f:
         f.write("# x1 x2 price\n")
@@ -378,9 +360,8 @@ def run_example3(cfg):
 
     report = {
         "example": "ex3",
-        "table6": [(m, e, r) for m, _, e, r, _ in t6],
-        "table7": [(m, ed, et) for (m, _, ed, _, _), (_, _, et, _, _)
-                   in zip(t7d, t7t)],
+        "table6": [(mesh.m1, e, r) for mesh, e, r, _ in t6],
+        "table7": [(mesh.m1, ed, et) for mesh, ed, et in t7],
         "table8": [asdict(r) for r in t8],
         "imag_residuals": res6,
     }

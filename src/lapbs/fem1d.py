@@ -8,6 +8,8 @@ assembled in weak form with exact element integrals (the coefficients are
 polynomials, so every entry is closed-form).  The x = 0 node is always a
 Dirichlet node; the right end is either Dirichlet or a transparent Robin
 condition built from the exterior solution's logarithmic derivative.
+One solve at a shift z is ``solve(pencil(mesh, market, bc).at(z))``: the
+pencil is built once per problem and serves every z.
 """
 
 import cmath
@@ -21,15 +23,12 @@ __all__ = [
     "Market1D",
     "Mesh1D",
     "BoundarySpec",
-    "ComplexField",
     "payoff_put",
     "left_dirichlet_transform",
     "robin_coefficient",
     "Pencil",
     "pencil",
-    "assemble",
     "solve",
-    "solve_transformed",
 ]
 
 
@@ -82,18 +81,6 @@ class BoundarySpec:
     @property
     def right_is_robin(self):
         return self.right is None
-
-
-@dataclass
-class ComplexField:
-    """Nodal complex values of one transformed solve."""
-
-    mesh: Mesh1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != len(self.mesh):
-            raise ValueError("field length must match node count")
 
 
 def payoff_put(x, strike):
@@ -227,14 +214,9 @@ def pencil(mesh, market, bc, u0=None, kink=None):
                   values, robin)
 
 
-def assemble(mesh, market, z, bc, u0=None, kink=None):
-    """Tridiagonal complex system (bands, rhs) for the transformed solution
-    at one z; bands is the (3, M+1) matrix in ``solve_banded`` layout."""
-    return pencil(mesh, market, bc, u0=u0, kink=kink).at(z)
-
-
-def solve(system, mesh=None):
-    """Direct banded solve with a residual guard."""
+def solve(system):
+    """Direct banded solve of ``Pencil.at(z)``'s (bands, rhs), with a
+    residual guard; returns the nodal values."""
     bands, rhs = system
     sol = solve_banded((1, 1), bands, rhs)
     res = _residual(bands, sol) - rhs
@@ -243,8 +225,6 @@ def solve(system, mesh=None):
         raise RuntimeError(
             f"banded solve residual too large: {np.linalg.norm(res):g}"
         )
-    if mesh is not None:
-        return ComplexField(mesh, sol)
     return sol
 
 
@@ -253,11 +233,6 @@ def _residual(bands, sol):
     out[:-1] += bands[0, 1:] * sol[1:]
     out[1:] += bands[2, :-1] * sol[:-1]
     return out
-
-
-def solve_transformed(mesh, market, z, bc, u0=None, kink=None):
-    """Assemble and solve at one contour point."""
-    return solve(assemble(mesh, market, z, bc, u0=u0, kink=kink), mesh=mesh)
 
 
 def p1_l2_sq(mesh, v):

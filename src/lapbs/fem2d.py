@@ -22,7 +22,6 @@ __all__ = [
     "payoff_basket_maxput",
     "build_matrices",
     "pencil",
-    "assemble2d",
     "factor",
     "solve2d",
     "dirichlet_nodes",
@@ -224,12 +223,6 @@ def pencil(mesh, basket, edges, u0=None):
                   robin)
 
 
-def assemble2d(mesh, basket, z, edges, u0=None):
-    """Sparse complex system (CSC matrix, rhs) for the transformed basket
-    solution at one z."""
-    return pencil(mesh, basket, edges, u0=u0).at(z)
-
-
 def factor(a):
     """Sparse LU of a structurally symmetric CSC matrix (a pencil at one
     shift): symmetric minimum-degree ordering on A^T + A, diagonal pivots."""
@@ -238,7 +231,8 @@ def factor(a):
 
 
 def solve2d(system):
-    """Direct sparse complex solve with a relative residual guard."""
+    """Direct sparse solve of ``Pencil.at(z)``'s (matrix, rhs), with a
+    relative residual guard."""
     a, rhs = system
     lu = factor(a)
     sol = lu.solve(rhs)

@@ -44,7 +44,7 @@ class SpeedupRow:
     speedup: float
 
 
-_KINDS = ("put1d", "basket2d")
+_KINDS = {"put1d": fem1d.Market1D, "basket2d": fem2d.Basket2D}
 _RIGHT_BCS = ("dirichlet0", "transparent")
 
 
@@ -52,8 +52,9 @@ _RIGHT_BCS = ("dirichlet0", "transparent")
 class ProblemSpec:
     """Picklable description of one pricing problem.
 
-    ``kind`` is "put1d" or "basket2d"; boundary fields mirror the fem
-    modules (right_bc: "dirichlet0" | "transparent" for 1D, EdgeSpec for 2D).
+    ``kind`` is "put1d" (a Market1D, ``right_bc`` "dirichlet0" or
+    "transparent") or "basket2d" (a Basket2D, ``edges`` an EdgeSpec,
+    default ``EdgeSpec()``).
     """
 
     kind: str
@@ -64,10 +65,21 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; choose from {_KINDS}")
+            raise ValueError(f"unknown kind {self.kind!r}; "
+                             f"choose from {tuple(_KINDS)}")
         if self.right_bc not in _RIGHT_BCS:
             raise ValueError(f"unknown right_bc {self.right_bc!r}; "
                              f"choose from {_RIGHT_BCS}")
+        market = _KINDS[self.kind]
+        if not isinstance(self.market, market):
+            raise ValueError(f"{self.kind} needs a {market.__name__}, "
+                             f"not a {type(self.market).__name__}")
+        if self.kind == "basket2d" and self.right_bc != "dirichlet0":
+            raise ValueError("basket2d takes its boundary from edges, "
+                             f"not right_bc={self.right_bc!r}")
+        if self.kind == "put1d" and self.edges is not None:
+            raise ValueError("put1d takes its right end from right_bc, "
+                             "not edges")
 
     def mesh(self):
         if self.kind == "put1d":

@@ -210,11 +210,12 @@ def test_criterion_9_property_suites(ex1_report, ex2_report, ex3_report,
     bc = fem1d.BoundarySpec(
         left=lambda z: fem1d.left_dirichlet_transform(z, 50.0, 0.05),
         right=lambda z: 0.0)
+    p = fem1d.pencil(mesh, market, bc)
     for q in quadrature_nodes(C15):
         if q.j <= 0:
             continue
-        u = fem1d.solve_transformed(mesh, market, q.z, bc).values
-        v = fem1d.solve_transformed(mesh, market, np.conj(q.z), bc).values
+        u = fem1d.solve(p.at(q.z))
+        v = fem1d.solve(p.at(np.conj(q.z)))
         dev = np.max(np.abs(v - np.conj(u))) / np.max(np.abs(u))
         if dev > 1e-12:
             failures.append(f"conjugate symmetry dev {dev:.1e} at j={q.j}")

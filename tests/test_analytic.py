@@ -112,6 +112,14 @@ class TestBsPut:
             assert bs_put(float("inf"), 1.0, 50.0, 0.05, 0.3) == 0.0
         assert list(got) == [0.0, 0.0]
 
+    def test_subnormal_spot_is_discounted_strike(self):
+        # 5e-324 / strike underflows to 0, where log() would warn
+        want = 50.0 * math.exp(-0.05)
+        with np.errstate(all="raise"):
+            got = bs_put(np.array([5e-324, 1e-310]), 1.0, 50.0, 0.05, 0.3)
+            assert bs_put(5e-324, 1.0, 50.0, 0.05, 0.3) == want
+        assert list(got) == [want, want]
+
     def test_put_call_parity(self):
         # C - P = S - K e^{-rT}; call via parity from two put evaluations
         # against the payoff identity (K - S)_+ - (S - K)_+ = K - S.

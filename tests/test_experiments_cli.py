@@ -107,6 +107,21 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "table1.csv").exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--workers", "0"], {}),
+        ([], {"workers": 0}),
+        ([], {"worker_sweep": [1, 0]}),
+    ], ids=["flag", "config", "worker_sweep"])
+    def test_worker_count_below_one_writes_nothing(self, tmp_path, flags,
+                                                   config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(config, meshes=[10, 20])))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="worker counts"):
+            cli.main(["run", "--example", "ex1", "--config", str(cfg_path),
+                      "--out", str(out), *flags])
+        assert not out.exists() or not any(out.iterdir())
+
     def test_reference_command_uses_cache(self, capsys):
         if not os.path.exists(REFERENCE_CACHE):
             pytest.skip("reference cache not built yet")

@@ -7,9 +7,9 @@ from scipy.integrate import quad
 
 from lapbs.analytic import l2_error, reduction_rate
 from lapbs.fem1d import (BoundarySpec, Market1D, Mesh1D, _load_vector,
-                         assemble, left_dirichlet_transform, p1_b_form,
-                         p1_l2_sq, p1_weighted_semi_sq, payoff_put, pencil,
-                         robin_coefficient, solve, solve_transformed)
+                         left_dirichlet_transform, p1_b_form, p1_l2_sq,
+                         p1_weighted_semi_sq, payoff_put, pencil,
+                         robin_coefficient, solve)
 
 MARKET = Market1D(r=0.05, sigma=0.3, strike=50.0, maturity=1.0, L=50.0)
 BC_DIRICHLET = BoundarySpec(
@@ -59,8 +59,9 @@ class TestLeftTransform:
 class TestAssembleOracle:
     def test_interior_row_frozen_values(self):
         mesh = Mesh1D(50.0, 10)  # h = 5, node 2 sits at x = 10
+        p = pencil(mesh, MARKET, BC_DIRICHLET)
         for z in (0.7, 2.0 + 3.0j):
-            bands, _ = assemble(mesh, MARKET, z, BC_DIRICHLET)
+            bands, _ = p.at(z)
             assert bands[1, 2] == pytest.approx(ROW_DIAG_B + z * ROW_DIAG_M)
             assert bands[0, 3] == pytest.approx(ROW_HI_B + z * ROW_HI_M)
             assert bands[2, 1] == pytest.approx(ROW_LO_B + z * ROW_LO_M)
@@ -91,7 +92,7 @@ class TestAssembleOracle:
     def test_dirichlet_rows(self):
         mesh = Mesh1D(50.0, 10)
         z = 1.5 + 0.5j
-        bands, rhs = assemble(mesh, MARKET, z, BC_DIRICHLET)
+        bands, rhs = pencil(mesh, MARKET, BC_DIRICHLET).at(z)
         assert bands[1, 0] == 1.0 and bands[0, 1] == 0.0
         assert rhs[0] == pytest.approx(50.0 / (z + 0.05))
         assert bands[1, -1] == 1.0 and bands[2, -2] == 0.0
@@ -182,23 +183,24 @@ class TestSolve:
         errors = []
         for m in (16, 32, 64):
             mesh = Mesh1D(L, m)
-            field = solve_transformed(mesh, MARKET, z, bc, u0=f)
-            errors.append(l2_error(field.values.real, exact, mesh))
+            u = solve(pencil(mesh, MARKET, bc, u0=f).at(z))
+            errors.append(l2_error(u.real, exact, mesh))
         assert reduction_rate(errors[0], errors[1]) == pytest.approx(2.0, abs=0.1)
         assert reduction_rate(errors[1], errors[2]) == pytest.approx(2.0, abs=0.1)
 
     def test_conjugate_symmetry_of_solution(self):
         mesh = Mesh1D(50.0, 40)
         z = 1.39 + 62.0j
-        u = solve_transformed(mesh, MARKET, z, BC_DIRICHLET).values
-        v = solve_transformed(mesh, MARKET, np.conj(z), BC_DIRICHLET).values
+        p = pencil(mesh, MARKET, BC_DIRICHLET)
+        u = solve(p.at(z))
+        v = solve(p.at(np.conj(z)))
         np.testing.assert_allclose(v, np.conj(u), rtol=1e-12, atol=1e-14)
 
     def test_zero_data_gives_zero(self):
         mesh = Mesh1D(50.0, 20)
         bc = BoundarySpec(left=lambda _: 0.0, right=lambda _: 0.0)
-        field = solve_transformed(mesh, MARKET, 2.0, bc, u0=lambda x: 0.0 * x)
-        np.testing.assert_allclose(field.values, 0.0, atol=1e-14)
+        u = solve(pencil(mesh, MARKET, bc, u0=lambda x: 0.0 * x).at(2.0))
+        np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
     def test_robin_matches_dirichlet_on_large_domain(self):
         # with L far beyond the strike both right conditions agree near x=K
@@ -207,8 +209,8 @@ class TestSolve:
         mesh = Mesh1D(400.0, 800)
         bc_robin = BoundarySpec(
             left=lambda zz: left_dirichlet_transform(zz, 50.0, 0.05))
-        u_r = solve_transformed(mesh, big, z, bc_robin).values
-        u_d = solve_transformed(mesh, big, z, BC_DIRICHLET).values
+        u_r = solve(pencil(mesh, big, bc_robin).at(z))
+        u_d = solve(pencil(mesh, big, BC_DIRICHLET).at(z))
         i = 100  # x = 50
         assert abs(u_r[i] - u_d[i]) < 1e-8 * abs(u_d[i])
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.sparse.linalg import splu, spsolve
 
 from lapbs.fem1d import robin_coefficient
-from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass, assemble2d,
+from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass,
                          build_matrices, dirichlet_nodes, factor,
                          interpolate_p1, payoff_basket_maxput, pencil,
                          relative_l2, solve2d)
@@ -112,10 +112,10 @@ class TestBoundaryHandling:
     def test_transparent_modifies_only_far_edge_rows(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         z = 2.0 + 1.0j
-        a_d, _ = assemble2d(mesh, BASKET, z, EdgeSpec(x2_far="dirichlet0",
-                                                      x1_far="transparent"))
-        a_t, _ = assemble2d(mesh, BASKET, z, EdgeSpec(x2_far="dirichlet0",
-                                                      x1_far="dirichlet0"))
+        a_d, _ = pencil(mesh, BASKET, EdgeSpec(x2_far="dirichlet0",
+                                               x1_far="transparent")).at(z)
+        a_t, _ = pencil(mesh, BASKET, EdgeSpec(x2_far="dirichlet0",
+                                               x1_far="dirichlet0")).at(z)
         diff = (a_d - a_t).tocoo()
         diff.eliminate_zeros()
         # switching the edge to Dirichlet drops its rows and its columns
@@ -124,7 +124,7 @@ class TestBoundaryHandling:
 
     def test_dirichlet_rows_are_identity(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
-        a, rhs = assemble2d(mesh, BASKET, 1.0, EdgeSpec())
+        a, rhs = pencil(mesh, BASKET, EdgeSpec()).at(1.0)
         idx = dirichlet_nodes(mesh, EdgeSpec())
         dense = a.toarray()
         for i in idx:
@@ -198,7 +198,7 @@ class TestFactor:
     @FACTOR_EDGES
     def test_solve_matches_spsolve(self, edges):
         mesh = Mesh2D(300.0, 300.0, 32, 32)
-        a, rhs = assemble2d(mesh, BASKET, -8.35 + 12.39j, edges)
+        a, rhs = pencil(mesh, BASKET, edges).at(-8.35 + 12.39j)
         want = spsolve(a, rhs)
         got = solve2d((a, rhs))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -208,26 +208,27 @@ class TestSolve2D:
     def test_conjugate_symmetry(self):
         mesh = Mesh2D(300.0, 300.0, 12, 12)
         z = 3.9 + 33.0j
-        u = solve2d(assemble2d(mesh, BASKET, z, EdgeSpec()))
-        v = solve2d(assemble2d(mesh, BASKET, np.conj(z), EdgeSpec()))
+        p = pencil(mesh, BASKET, EdgeSpec())
+        u = solve2d(p.at(z))
+        v = solve2d(p.at(np.conj(z)))
         np.testing.assert_allclose(v, np.conj(u), rtol=1e-12, atol=1e-14)
 
     def test_zero_data_gives_zero(self):
         mesh = Mesh2D(300.0, 300.0, 8, 8)
-        sys = assemble2d(mesh, BASKET, 2.0, EdgeSpec(),
-                         u0=lambda x1, x2: 0.0 * x1)
+        sys = pencil(mesh, BASKET, EdgeSpec(),
+                     u0=lambda x1, x2: 0.0 * x1).at(2.0)
         np.testing.assert_allclose(solve2d(sys), 0.0, atol=1e-14)
 
     def test_real_z_real_payoff_gives_real_positive_field(self):
         mesh = Mesh2D(300.0, 300.0, 16, 16)
-        u = solve2d(assemble2d(mesh, BASKET, 2.0, EdgeSpec()))
+        u = solve2d(pencil(mesh, BASKET, EdgeSpec()).at(2.0))
         assert np.max(np.abs(u.imag)) < 1e-14
         assert u.real.min() > -1e-10
 
     def test_swap_symmetry(self):
         # a11 = a22 and symmetric payoff: u(x1, x2) = u(x2, x1)
         mesh = Mesh2D(300.0, 300.0, 16, 16)
-        u = solve2d(assemble2d(mesh, BASKET, 2.0, EdgeSpec())).real
+        u = solve2d(pencil(mesh, BASKET, EdgeSpec()).at(2.0)).real
         grid = u.reshape(17, 17)
         np.testing.assert_allclose(grid, grid.T, rtol=1e-10, atol=1e-12)
 

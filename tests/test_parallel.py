@@ -31,7 +31,14 @@ class TestProblemSpec:
         ({"kind": "basket", "market": BASKET}, "'basket'", "put1d"),
         ({"kind": "put1d", "market": MARKET, "right_bc": "transprent"},
          "'transprent'", "transparent"),
-    ], ids=["kind_1d", "kind_2d", "right_bc"])
+        ({"kind": "basket2d", "market": MARKET}, "Market1D", "Basket2D"),
+        ({"kind": "put1d", "market": BASKET}, "Basket2D", "Market1D"),
+        ({"kind": "basket2d", "market": BASKET, "right_bc": "transparent"},
+         "right_bc='transparent'", "edges"),
+        ({"kind": "put1d", "market": MARKET, "edges": fem2d.EdgeSpec()},
+         "edges", "right_bc"),
+    ], ids=["kind_1d", "kind_2d", "right_bc", "market_1d_for_2d",
+            "market_2d_for_1d", "right_bc_on_2d", "edges_on_1d"])
     def test_unknown_kind_or_right_bc_rejected(self, kwargs, bad, allowed):
         with pytest.raises(ValueError) as err:
             ProblemSpec(m=16, **kwargs)
