@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fem1d import _require_positive
+
 __all__ = [
     "ContourParams",
     "QuadNode",
@@ -32,13 +34,10 @@ class ContourParams:
     n: int
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.s <= 0:
-            raise ValueError(f"s must be positive, got {self.s}")
-        if self.n < 1:
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        _require_positive(self, "tau", "nu", "s")
+        if not self.n >= 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
     @property
@@ -107,7 +106,8 @@ def quadrature_nodes(p):
 def validate(p, kappa):
     """Check contour admissibility; returns (ok, list of violation strings).
 
-    ``ContourParams`` already rejects a nonpositive tau, nu, s or n.
+    ``ContourParams`` already rejects a non-finite gamma, a nonpositive or
+    non-finite tau, nu or s, and n < 1.
     """
     violations = []
     if not p.crossing > kappa:

@@ -187,8 +187,8 @@ def run_example1(cfg):
     """Tables 1-3: CN sweep, Laplace sweep at N=15, contour-size study."""
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
     contours = [_contour(row) for row in cfg.contours]
-    _prepare_run(cfg, contours, mu_val)
     market = cfg.market()
+    _prepare_run(cfg, contours, mu_val)
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
     error = lambda u, mesh: l2_error(u, exact, mesh)
 
@@ -234,8 +234,8 @@ def run_example1(cfg):
 def run_example2(cfg):
     """Tables 4-5 and the Fig. 1 curves: boundary-condition study at L=50."""
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
-    _prepare_run(cfg, [_contour(row) for row in cfg.contours], mu_val)
     market = cfg.market()
+    _prepare_run(cfg, [_contour(row) for row in cfg.contours], mu_val)
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
     error = lambda u, mesh: l2_error(u, exact, mesh)
     c15 = cfg.contour(15)
@@ -296,6 +296,7 @@ def run_example3(cfg):
     """
     mu_val = mu(cfg.r, np.sqrt(min(cfg.a11, cfg.a22)),
                 np.sqrt(max(cfg.a11, cfg.a22)), True)
+    basket = cfg.basket()
     _prepare_run(cfg, [EX3_CONTOUR], mu_val)
     ref, refmesh = reference_solution(cfg)
     # relative L2 distance from the reference over each mesh's own domain
@@ -303,7 +304,7 @@ def run_example3(cfg):
                                               mesh.L1, mesh.L2)
 
     # Table 6: Dirichlet truncation on the reference domain [0,600]^2
-    basket6 = replace(cfg.basket(), L1=refmesh.L1, L2=refmesh.L2)
+    basket6 = replace(basket, L1=refmesh.L1, L2=refmesh.L2)
     t6, res6 = _sweep(cfg, _jobs("basket2d", basket6, cfg.meshes,
                                  EX3_CONTOUR), error)
     _error_table(cfg, "table6.csv", "Number of z", "Relative error in L2",
@@ -311,7 +312,7 @@ def run_example3(cfg):
                   for mesh, e, r, _ in t6])
 
     # Table 7: boundary-condition comparison on [0,150]^2
-    basket150 = replace(cfg.basket(), L1=150.0, L2=150.0)
+    basket150 = replace(basket, L1=150.0, L2=150.0)
     meshes7 = [m for m in cfg.meshes if m <= 64]
     t7d, _ = _sweep(cfg, _jobs("basket2d", basket150, meshes7, EX3_CONTOUR),
                     error)
@@ -331,7 +332,7 @@ def run_example3(cfg):
     )
 
     # Table 8: parallel speedup on the 128x128 workload
-    spec = ProblemSpec("basket2d", cfg.basket(), 128)
+    spec = ProblemSpec("basket2d", basket, 128)
     t8 = []
     baseline = None
     for w in cfg.worker_sweep:

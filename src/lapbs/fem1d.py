@@ -13,6 +13,7 @@ pencil is built once per problem and serves every z.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,6 +33,15 @@ __all__ = [
 ]
 
 
+def _require_positive(obj, *names):
+    """Raise ValueError unless each named attribute is finite and > 0
+    (a NaN fails too)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Market1D:
     r: float
@@ -41,12 +51,9 @@ class Market1D:
     L: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.strike <= 0:
-            raise ValueError("strike must be positive")
-        if self.maturity <= 0:
-            raise ValueError("maturity must be positive")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
+        _require_positive(self, "sigma", "strike", "maturity", "L")
         if self.L < self.strike:
             raise ValueError("truncation L must not cut the payoff support")
 
@@ -58,6 +65,7 @@ class Mesh1D:
         if m < 2:
             raise ValueError("need at least 2 elements")
         self.L = float(L)
+        _require_positive(self, "L")
         self.m = int(m)
         self.h = self.L / self.m
         self.x = np.linspace(0.0, self.L, self.m + 1)

@@ -6,14 +6,15 @@ integrands are quadratic per triangle, so the edge-midpoint rule
 integrates them exactly.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, diags
 from scipy.sparse.linalg import splu
 
-from .fem1d import Pencil, _robin_term
+from .fem1d import Pencil, _require_positive, _robin_term
 
 __all__ = [
     "Basket2D",
@@ -44,12 +45,11 @@ class Basket2D:
     L2: float
 
     def __post_init__(self):
-        if self.a11 <= 0 or self.a22 <= 0:
-            raise ValueError("diagonal diffusion coefficients must be positive")
-        if self.a12 * self.a12 >= self.a11 * self.a22:
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
+        _require_positive(self, "a11", "a22", "strike", "maturity", "L1", "L2")
+        if not self.a12 * self.a12 < self.a11 * self.a22:
             raise ValueError("diffusion matrix must be positive definite")
-        if self.maturity <= 0:
-            raise ValueError("maturity must be positive")
 
 
 class Mesh2D:
@@ -59,6 +59,7 @@ class Mesh2D:
         if m1 < 1 or m2 < 1:
             raise ValueError(f"need at least 1 element per side, got {m1} x {m2}")
         self.L1, self.L2 = float(L1), float(L2)
+        _require_positive(self, "L1", "L2")
         self.m1, self.m2 = int(m1), int(m2)
         self.h1 = self.L1 / self.m1
         self.h2 = self.L2 / self.m2
@@ -79,6 +80,15 @@ class EdgeSpec:
     x2_zero: Condition = "neumann0"
     x1_far: Condition = "dirichlet0"
     x2_far: Condition = "dirichlet0"
+
+    def __post_init__(self):
+        # `pencil` builds Robin terms on the far edges only
+        for edge in ("x1_zero", "x2_zero", "x1_far", "x2_far"):
+            allowed = tuple(c for c in get_args(Condition)
+                            if edge.endswith("far") or c != "transparent")
+            if getattr(self, edge) not in allowed:
+                raise ValueError(f"{edge} must be one of {allowed}, "
+                                 f"got {getattr(self, edge)!r}")
 
 
 def payoff_basket_maxput(x1, x2, strike):
@@ -238,6 +248,8 @@ def solve2d(system):
     sol = lu.solve(rhs)
     res = np.linalg.norm(a @ sol - rhs)
     scale = np.linalg.norm(rhs)
+    if not math.isfinite(res):
+        raise RuntimeError(f"sparse solve residual is {res:g}")
     if scale > 0 and res > 1e-10 * scale:
         raise RuntimeError(f"sparse solve relative residual {res/scale:g}")
     return sol

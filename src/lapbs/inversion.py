@@ -7,9 +7,10 @@ Re{k_0*u_0} + 2*Re{sum_{j>=1} k_j*u_j} with k_j = weight_j*e^{z_j t}.
 Each time costs one vector-matrix product of k over the node rows.  A
 conjugate pair adds to a real number exactly, so the only imaginary part
 left is node 0's: for real data it is 0, and the guard raises when it
-is not negligible against the result.
+is not negligible against the result, or when either is not finite.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -54,6 +55,9 @@ def invert_at(ensemble, t, return_residual=False):
     result = head.real + 2.0 * (k[1:] @ u[1:]).real
     residual = float(np.max(np.abs(head.imag)))
     scale = float(np.max(np.abs(result)))
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        raise RuntimeError(f"non-finite inversion: result scale {scale:g}, "
+                           f"imaginary residual {residual:g}")
     if scale > 0 and residual > 1e-10 * scale:
         raise RuntimeError(
             f"imaginary residual {residual:g} exceeds 1e-10 of result scale"

@@ -130,3 +130,9 @@ class TestValidate:
             ContourParams(1.0, 1.0, 0.4, -0.1, 3)
         with pytest.raises(ValueError):
             ContourParams(1.0, 1.0, 0.4, 0.1, 0)
+        nan = float("nan")
+        for bad in ((nan, 1.0, 0.4, 0.1, 3), (1.0, nan, 0.4, 0.1, 3),
+                    (1.0, 1.0, nan, 0.1, 3), (1.0, 1.0, 0.4, nan, 3),
+                    (1.0, 1.0, 0.4, float("inf"), 3), (1.0, 1.0, 0.4, 0.1, nan)):
+            with pytest.raises(ValueError):
+                ContourParams(*bad)

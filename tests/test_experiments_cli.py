@@ -39,6 +39,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="worker"):
             experiments.load_config(str(path))
 
+    def test_json_nan_strike_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"meshes": [10, 20],
+                                    "strike": float("nan")}))
+        assert "NaN" in path.read_text()  # json writes and reads it
+        with pytest.raises(ValueError, match="strike"):
+            cli.main(["run", "--example", "ex1", "--config", str(path),
+                      "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_contour_lookup(self):
         cfg = experiments.default_config("ex1")
         c = cfg.contour(15)

@@ -1,7 +1,11 @@
-"""Every ``lapbs`` module's ``__all__`` names only what the module has."""
+"""Every ``lapbs`` module's ``__all__`` names only what the module has,
+and ``import lapbs`` stays light."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -18,3 +22,14 @@ def test_all_names_exist_and_star_import_works(name):
     namespace = {}
     exec(f"from lapbs.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special is imported at the first erf or bs_put call: loading
+    # it with the package would add to every run's start-up
+    src = os.path.dirname(os.path.dirname(lapbs.__file__))
+    code = "import sys, lapbs; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -35,6 +35,11 @@ class TestMeshAndPayoff:
         with pytest.raises(ValueError):
             Mesh1D(50.0, 1)
 
+    @pytest.mark.parametrize("L", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_mesh_needs_positive_finite_length(self, L):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Mesh1D(L, 10)
+
     def test_payoff(self):
         got = payoff_put(np.array([0.0, 30.0, 50.0, 80.0]), 50.0)
         assert list(got) == [50.0, 20.0, 0.0, 0.0]
@@ -44,6 +49,13 @@ class TestMeshAndPayoff:
             Market1D(0.05, -0.3, 50.0, 1.0, 50.0)
         with pytest.raises(ValueError):
             Market1D(0.05, 0.3, 50.0, 1.0, 40.0)  # L cuts the payoff
+        nan = float("nan")
+        for bad in ((nan, 0.3, 50.0, 1.0, 50.0), (0.05, nan, 50.0, 1.0, 50.0),
+                    (0.05, 0.3, nan, 1.0, 50.0), (0.05, 0.3, -50.0, 1.0, 50.0),
+                    (0.05, 0.3, 50.0, nan, 50.0), (0.05, 0.3, 50.0, 1.0, nan),
+                    (0.05, 0.3, 50.0, 1.0, float("inf"))):
+            with pytest.raises(ValueError):
+                Market1D(*bad)
 
 
 class TestLeftTransform:

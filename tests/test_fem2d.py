@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu, spsolve
@@ -40,6 +42,27 @@ class TestMeshAndPayoff:
             Basket2D(0.05, 0.09, 0.09, 0.1, 100.0, 1.0, 300.0, 300.0)
         with pytest.raises(ValueError):
             Basket2D(0.05, -0.09, 0.09, 0.0, 100.0, 1.0, 300.0, 300.0)
+        nan = float("nan")
+        for bad in (dict(strike=-100.0), dict(strike=nan), dict(L1=0.0, L2=0.0),
+                    dict(L1=nan), dict(L2=float("inf")), dict(r=nan),
+                    dict(a11=nan), dict(a12=nan), dict(maturity=nan)):
+            with pytest.raises(ValueError):
+                replace(BASKET, **bad)
+
+    @pytest.mark.parametrize("L1, L2", [(-300.0, 300.0), (300.0, 0.0),
+                                        (float("nan"), 300.0),
+                                        (300.0, float("inf"))])
+    def test_mesh_needs_positive_finite_sides(self, L1, L2):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Mesh2D(L1, L2, 4, 4)
+
+    @pytest.mark.parametrize("edge, cond", [
+        ("x1_far", "dirchlet0"), ("x2_zero", "neumann"),
+        ("x1_zero", "transparent"), ("x2_zero", "transparent"),
+    ])
+    def test_edge_spec_rejects_unknown_conditions(self, edge, cond):
+        with pytest.raises(ValueError, match=edge):
+            EdgeSpec(**{edge: cond})
 
 
 class TestBuildMatrices:
@@ -218,6 +241,13 @@ class TestSolve2D:
         sys = pencil(mesh, BASKET, EdgeSpec(),
                      u0=lambda x1, x2: 0.0 * x1).at(2.0)
         np.testing.assert_allclose(solve2d(sys), 0.0, atol=1e-14)
+
+    def test_nan_rhs_raises(self):
+        mesh = Mesh2D(300.0, 300.0, 8, 8)
+        a, rhs = pencil(mesh, BASKET, EdgeSpec()).at(2.0)
+        rhs[40] = np.nan
+        with pytest.raises(RuntimeError, match="residual is nan"):
+            solve2d((a, rhs))
 
     def test_real_z_real_payoff_gives_real_positive_field(self):
         mesh = Mesh2D(300.0, 300.0, 16, 16)

@@ -111,6 +111,12 @@ class TestGuardAndInputs:
         with pytest.raises(RuntimeError, match="imaginary residual"):
             invert_many(ens, [0.5, 1.0])
 
+    def test_nan_transform_raises(self):
+        ens = TransformEnsemble.from_evaluator(contour(15),
+                                               lambda z: float("nan"))
+        with pytest.raises(RuntimeError, match="non-finite inversion"):
+            invert_at(ens, 1.0)
+
     @pytest.mark.parametrize("times", [[0.5, 0.0], [-1.0], [1.0, -0.25]])
     def test_invert_many_rejects_nonpositive_times(self, times):
         ens = TransformEnsemble.from_evaluator(contour(15), lambda z: 1.0 / z)
