@@ -5,9 +5,9 @@ Two-asset basket puts and embarrassingly parallel solves
 The same transform-and-invert pipeline prices a put on the maximum of
 two correlated assets: each contour node now requires one complex sparse
 solve on a triangulated grid.  The nodes are completely independent, so
-they fan out over a process pool; results are assembled by node index
-with a fixed summation order, making the price bitwise identical for
-any worker count.
+they fan out over a process pool, one contiguous chunk of nodes per
+worker; the pool returns the rows in node order and the sum runs in a
+fixed order, making the price bitwise identical for any worker count.
 """
 
 import numpy as np

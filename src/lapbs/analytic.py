@@ -27,10 +27,11 @@ def bs_put(x, t, strike, r, sigma):
     to 0, get the discounted strike; x = +inf gets 0."""
     from scipy.special import ndtr  # at first use, as in ``erf``
 
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if sigma <= 0 or strike <= 0:
-        raise ValueError("sigma and strike must be positive")
+    for name, value in (("t", t), ("strike", strike), ("sigma", sigma)):
+        if not 0 < value < math.inf:   # a NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     x = np.asarray(x, dtype=float)
     discounted = strike * math.exp(-r * t)
     with np.errstate(under="ignore"):  # a subnormal spot's ratio

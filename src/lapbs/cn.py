@@ -32,8 +32,7 @@ class MarchConfig:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        fem1d._require_count("steps", self.steps, 1, "step")
 
 
 def march1d(mesh, market, config):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem1d import _require_positive
+from .fem1d import _require_count, _require_positive
 
 __all__ = [
     "ContourParams",
@@ -23,8 +23,8 @@ class ContourParams:
     """Parameters of the deformed contour z(w) = gamma - sqrt(w^2 + nu^2) + i*s*w.
 
     ``tau`` is the scale of the tanh change of variables mapping (-1, 1)
-    onto the real line; ``n`` is the node half-count (quadrature indices
-    run j = -n+1 ... n-1).
+    onto the real line; ``n`` is the node count N of the conjugate half
+    j = 0 ... N-1 (see :func:`quadrature_nodes`).
     """
 
     gamma: float
@@ -37,8 +37,7 @@ class ContourParams:
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         _require_positive(self, "tau", "nu", "s")
-        if not self.n >= 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _require_count("n", self.n, 1, "node")
 
     @property
     def crossing(self):
@@ -89,10 +88,11 @@ def omega_of_y(y, tau):
 
 
 def quadrature_nodes(p):
-    """All 2N-1 contour nodes j = -N+1 ... N-1 with folded weights."""
+    """The conjugate-half nodes j = 0 ... N-1, in order, with folded
+    weights: node -j of the full rule is node j conjugated (see QuadNode)."""
     nodes = []
     inv_2pii_n = 1.0 / (2.0j * math.pi * p.n)
-    for j in range(-p.n + 1, p.n):
+    for j in range(p.n):
         y = j / p.n
         w = omega_of_y(y, p.tau)
         root = math.hypot(w, p.nu)
@@ -107,7 +107,7 @@ def validate(p, kappa):
     """Check contour admissibility; returns (ok, list of violation strings).
 
     ``ContourParams`` already rejects a non-finite gamma, a nonpositive or
-    non-finite tau, nu or s, and n < 1.
+    non-finite tau, nu or s, and an n that is not an integer >= 1.
     """
     violations = []
     if not p.crossing > kappa:

@@ -9,7 +9,8 @@ import numpy as np
 
 from . import cn, fem1d, fem2d
 from .analytic import bs_put, l2_error, reduction_rate
-from .contour import ContourParams, kappa_bound, mu, validate
+from .contour import (ContourParams, kappa_bound, mu, quadrature_nodes,
+                      validate)
 from .inversion import TransformEnsemble, invert_at
 from .parallel import ProblemSpec, solve_ensemble
 
@@ -41,6 +42,8 @@ CONTOUR_SLOPE = 0.4213
 EX3_CONTOUR = ContourParams(35.94, 33.12, 0.4213, 0.07472, 15)
 
 DEFAULT_REFERENCE_CACHE = ".cache/ex3_reference.npz"
+# the config fields the reference field depends on, stored with its cache
+_REFERENCE_KEYS = ("r", "a11", "a22", "a12", "basket_strike", "maturity")
 
 
 @dataclass
@@ -117,17 +120,19 @@ def _contour(row):
                          row["n"])
 
 
-def _prepare_run(cfg, contours, mu_val):
+def _prepare_run(cfg, contours, mu_val, reference=False):
     """Check the worker counts and that every contour clears its kappa
-    bound, then make the output directory: a bad config writes nothing."""
-    bad = [w for w in (cfg.workers, *cfg.worker_sweep) if w < 1]
-    if bad:
-        raise ValueError(f"worker counts must be >= 1, got {bad}")
+    bound, load the Example-3 reference if asked, then make the output
+    directory: a bad config writes nothing.  Returns the reference."""
+    for w in (cfg.workers, *cfg.worker_sweep):
+        fem1d._require_count("worker counts", w, 1, "worker")
     for c in contours:
         ok, violations = validate(c, kappa_bound(c.s, mu_val))
         if not ok:
             raise ValueError(f"contour n={c.n} inadmissible: {violations}")
+    loaded = reference_solution(cfg) if reference else None
     os.makedirs(cfg.out, exist_ok=True)
+    return loaded
 
 
 def _write_csv(path, header, rows):
@@ -268,20 +273,29 @@ def run_example2(cfg):
 def reference_solution(cfg=None, rebuild=False):
     """Example-3 reference field: CN on [0,600]^2, 512x512, dt = 0.02.
 
-    Cached to cfg.reference_cache; returns (values, Mesh2D).
+    Cached to cfg.reference_cache with the basket data it was built for
+    (a cache without them was built for ``default_config("ex3")``); a
+    cache built for other data raises ValueError.  Returns (values, Mesh2D).
     """
     cfg = cfg or default_config("ex3")
     path = cfg.reference_cache
     mesh = fem2d.Mesh2D(600.0, 600.0, 512, 512)
     if not rebuild and os.path.exists(path):
-        data = np.load(path)
-        return data["values"], mesh
+        default = default_config("ex3")
+        with np.load(path) as data:
+            wrong = [k for k in _REFERENCE_KEYS
+                     if data.get(k, getattr(default, k)) != getattr(cfg, k)]
+            if wrong:
+                raise ValueError(f"reference cache {path} was built for "
+                                 f"other basket data: {wrong} differ")
+            return data["values"], mesh
     basket = fem2d.Basket2D(cfg.r, cfg.a11, cfg.a22, cfg.a12,
                             cfg.basket_strike, cfg.maturity, 600.0, 600.0)
     steps = int(round(cfg.maturity / 0.02))
     values = cn.march2d(mesh, basket, cn.MarchConfig(steps))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    np.savez_compressed(path, values=values)
+    np.savez_compressed(path, values=values,
+                        **{k: getattr(cfg, k) for k in _REFERENCE_KEYS})
     return values, mesh
 
 
@@ -297,8 +311,7 @@ def run_example3(cfg):
     mu_val = mu(cfg.r, np.sqrt(min(cfg.a11, cfg.a22)),
                 np.sqrt(max(cfg.a11, cfg.a22)), True)
     basket = cfg.basket()
-    _prepare_run(cfg, [EX3_CONTOUR], mu_val)
-    ref, refmesh = reference_solution(cfg)
+    ref, refmesh = _prepare_run(cfg, [EX3_CONTOUR], mu_val, reference=True)
     # relative L2 distance from the reference over each mesh's own domain
     error = lambda u, mesh: fem2d.relative_l2(u, mesh, ref, refmesh,
                                               mesh.L1, mesh.L2)
@@ -415,7 +428,6 @@ def run_oracles():
     check("discrete coercivity (1000 fields)", coercive_ok)
 
     branch_ok = True
-    from .contour import quadrature_nodes
     for n, (g, nu, tau) in TABLE3_ROWS.items():
         p = ContourParams(g, nu, CONTOUR_SLOPE, tau, n)
         for q in quadrature_nodes(p):

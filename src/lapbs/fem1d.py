@@ -42,6 +42,15 @@ def _require_positive(obj, *names):
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_count(name, value, least, noun):
+    """Raise ValueError unless the count ``value`` is an int or a numpy
+    integer (a float would be truncated, or fail later in ``range``) of
+    at least ``least`` ``noun``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least} "
+                         f"{noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Market1D:
     r: float
@@ -62,8 +71,7 @@ class Mesh1D:
     """Uniform mesh 0 = x_0 < ... < x_M = L."""
 
     def __init__(self, L, m):
-        if m < 2:
-            raise ValueError("need at least 2 elements")
+        _require_count("m", m, 2, "elements")
         self.L = float(L)
         _require_positive(self, "L")
         self.m = int(m)

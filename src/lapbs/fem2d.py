@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, diags
 from scipy.sparse.linalg import splu
 
-from .fem1d import Pencil, _require_positive, _robin_term
+from .fem1d import Pencil, _require_count, _require_positive, _robin_term
 
 __all__ = [
     "Basket2D",
@@ -56,8 +56,8 @@ class Mesh2D:
     """Uniform (m1+1) x (m2+1) tensor grid, node k = j*(m1+1) + i."""
 
     def __init__(self, L1, L2, m1, m2):
-        if m1 < 1 or m2 < 1:
-            raise ValueError(f"need at least 1 element per side, got {m1} x {m2}")
+        _require_count("m1", m1, 1, "element per side")
+        _require_count("m2", m2, 1, "element per side")
         self.L1, self.L2 = float(L1), float(L2)
         _require_positive(self, "L1", "L2")
         self.m1, self.m2 = int(m1), int(m2)
@@ -177,18 +177,19 @@ def build_matrices(mesh, basket, u0):
     return spatial, mass, load
 
 
+def _edge_nodes(mesh):
+    """Node indices along each edge, keyed by the ``EdgeSpec`` field."""
+    m1, m2 = mesh.m1, mesh.m2
+    x1_zero = np.arange(m2 + 1) * (m1 + 1)
+    x2_zero = np.arange(m1 + 1)
+    return {"x1_zero": x1_zero, "x1_far": x1_zero + m1,
+            "x2_zero": x2_zero, "x2_far": m2 * (m1 + 1) + x2_zero}
+
+
 def dirichlet_nodes(mesh, edges):
     """Node indices lying on dirichlet0 edges."""
-    m1, m2 = mesh.m1, mesh.m2
-    idx = []
-    if edges.x1_zero == "dirichlet0":
-        idx.append(np.arange(m2 + 1) * (m1 + 1))
-    if edges.x1_far == "dirichlet0":
-        idx.append(np.arange(m2 + 1) * (m1 + 1) + m1)
-    if edges.x2_zero == "dirichlet0":
-        idx.append(np.arange(m1 + 1))
-    if edges.x2_far == "dirichlet0":
-        idx.append(m2 * (m1 + 1) + np.arange(m1 + 1))
+    idx = [nodes for edge, nodes in _edge_nodes(mesh).items()
+           if getattr(edges, edge) == "dirichlet0"]
     if not idx:
         return np.array([], dtype=int)
     return np.unique(np.concatenate(idx))
@@ -210,7 +211,7 @@ def pencil(mesh, basket, edges, u0=None):
     if u0 is None:
         u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
     spatial, mass, load = build_matrices(mesh, basket, u0)
-    n, m1, m2 = mesh.n_nodes, mesh.m1, mesh.m2
+    n = mesh.n_nodes
     fixed = dirichlet_nodes(mesh, edges)
     # free @ X @ free drops the Dirichlet rows and columns from the
     # structure.  Dropping the columns is exact because every Dirichlet
@@ -218,15 +219,13 @@ def pencil(mesh, basket, edges, u0=None):
     # column, so the matrix is structurally symmetric and partial pivoting
     # keeps the diagonal that a symmetric ordering in `factor` chose.
     free = diags(np.isin(np.arange(n), fixed, invert=True).astype(float))
+    nodes = _edge_nodes(mesh)
     robin = tuple(
         (_robin_term(basket.r, a, L),
-         (free @ _edge_mass(idx, h, n) @ free).tocsc())
-        for cond, a, L, idx, h in (
-            (edges.x1_far, basket.a11, basket.L1,
-             np.arange(m2 + 1) * (m1 + 1) + m1, mesh.h2),
-            (edges.x2_far, basket.a22, basket.L2,
-             m2 * (m1 + 1) + np.arange(m1 + 1), mesh.h1))
-        if cond == "transparent")
+         (free @ _edge_mass(nodes[edge], h, n) @ free).tocsc())
+        for edge, a, L, h in (("x1_far", basket.a11, basket.L1, mesh.h2),
+                              ("x2_far", basket.a22, basket.L2, mesh.h1))
+        if getattr(edges, edge) == "transparent")
     identity = csc_matrix((np.ones(len(fixed)), (fixed, fixed)), shape=(n, n))
     return Pencil((free @ spatial @ free).tocsc() + identity,
                   (free @ mass @ free).tocsc(), load, fixed, lambda z: 0.0,

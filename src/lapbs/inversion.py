@@ -11,45 +11,45 @@ is not negligible against the result, or when either is not finite.
 """
 
 import math
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import ContourParams, QuadNode, quadrature_nodes
+from .contour import ContourParams, quadrature_nodes
 
 __all__ = ["TransformEnsemble", "invert_at", "invert_many", "direct_trapezoid"]
 
 
 @dataclass
 class TransformEnsemble:
-    """Conjugate-half transformed solutions, one per node j = 0 ... N-1."""
+    """Transformed solutions, one row per contour node j = 0 ... N-1;
+    ``z`` and ``weight`` are the nodes', computed once per ensemble."""
 
     contour: ContourParams
-    nodes: List[QuadNode]
     values: np.ndarray  # shape (N, ndof) complex
+    z: np.ndarray = field(init=False, repr=False)
+    weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=complex))
-        if [q.j for q in self.nodes] != list(range(self.contour.n)):
-            raise ValueError("need the nodes j = 0 ... N-1, in order")
         if self.values.shape[0] != self.contour.n:
             raise ValueError("need one value row per node")
+        nodes = quadrature_nodes(self.contour)
+        self.z = np.array([q.z for q in nodes])
+        self.weight = np.array([q.weight for q in nodes])
 
     @classmethod
     def from_evaluator(cls, contour, transform):
         """Build from a scalar transform z -> u_hat(z) (oracle use)."""
-        half = [q for q in quadrature_nodes(contour) if q.j >= 0]
-        vals = np.array([[transform(q.z)] for q in half])
-        return cls(contour, half, vals)
+        nodes = quadrature_nodes(contour)
+        return cls(contour, [[transform(q.z)] for q in nodes])
 
 
 def invert_at(ensemble, t, return_residual=False):
     """Evaluate the quadrature inversion sum at one time t."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    weight = np.array([q.weight for q in ensemble.nodes])
-    k = weight * np.exp(np.array([q.z for q in ensemble.nodes]) * t)
+    if not 0 < t < math.inf:   # a NaN fails too
+        raise ValueError(f"t must be positive and finite, got {t}")
+    k = ensemble.weight * np.exp(ensemble.z * t)
     u = ensemble.values
     head = k[0] * u[0]
     result = head.real + 2.0 * (k[1:] @ u[1:]).real

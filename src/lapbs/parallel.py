@@ -2,10 +2,12 @@
 
 Each contour node is an independent solve at one shift z of the
 problem's pencil, so workers share nothing but that read-only pencil,
-inherited through the fork.  Node j goes to chunk j mod W, one chunk
-per worker; the result rows are placed by node index, making the
-assembled ensemble bit-identical for any worker count.  A pool that
-loses a worker is rebuilt once; any error a node raises propagates.
+inherited through the fork.  The pool's ordered ``map`` deals the N
+nodes out in contiguous chunks of ceil(N/W), one worker per chunk, and
+returns the rows in node order, so the ensemble is bit-identical for
+any worker count.  A pool that loses a worker is rebuilt once; the
+first error a node raises propagates, and the rest of its chunk is not
+run.
 
 The nodes are solved with one BLAS thread per process.  numpy's and
 scipy's bundled OpenBLAS each start one thread per CPU, so W workers
@@ -19,6 +21,7 @@ unchanged, and the ``lapbs.parallel`` logger says so once.
 
 import ctypes
 import logging
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -149,32 +152,26 @@ def _one_blas_thread():
             set_threads(count)
 
 
-_WORKER_STATE = {}
+_WORKER_STATE = {}   # set before the solves; forked workers inherit it
 
 
-def _init_worker(spec, pencil, zs):
-    _WORKER_STATE.update(spec=spec, pencil=pencil, zs=zs)
+def _solve_node(z):
+    return _WORKER_STATE["spec"].solve(_WORKER_STATE["pencil"].at(z))
 
 
-def _run_nodes(node_ids):
-    spec, pencil, zs = (_WORKER_STATE[k] for k in ("spec", "pencil", "zs"))
-    return [(j, spec.solve(pencil.at(zs[j]))) for j in node_ids]
-
-
-def _run_pool(spec, pencil, zs, assignments):
+def _run_pool(zs, workers):
     """One forked worker per chunk; a pool that breaks is rebuilt once."""
     # imported here, not at the top: the executor machinery adds tens
     # of ms to ``import lapbs``, which in-process runs never use
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    chunk = math.ceil(len(zs) / workers)
     for attempt in range(2):
         try:
-            with ProcessPoolExecutor(max_workers=len(assignments),
-                                     mp_context=get_context("fork"),
-                                     initializer=_init_worker,
-                                     initargs=(spec, pencil, zs)) as pool:
-                return list(pool.map(_run_nodes, assignments))
+            with ProcessPoolExecutor(max_workers=math.ceil(len(zs) / chunk),
+                                     mp_context=get_context("fork")) as pool:
+                return list(pool.map(_solve_node, zs, chunksize=chunk))
         except BrokenProcessPool as err:
             # a worker died (OOM kill, signal): one fresh pool may succeed
             if attempt == 1:
@@ -183,40 +180,26 @@ def _run_pool(spec, pencil, zs, assignments):
 
 
 def solve_ensemble(spec, contour, workers=1, baseline_time=None):
-    """Solve the conjugate-half nodes, fanning out over ``workers``.
+    """Solve the contour's nodes, fanning out over ``workers``.
 
     Returns (TransformEnsemble, SpeedupRow).  Timing covers only the
     elliptic solves, not the pencil build or the inversion sum.
     ``baseline_time`` is the 1-worker wall time used for the speedup
     column; by definition speedup(1 worker) = 1.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    half = [q for q in quadrature_nodes(contour) if q.j >= 0]
-    zs = [q.z for q in half]
-    pencil = spec.pencil()
+    fem1d._require_count("workers", workers, 1, "worker")
+    zs = [q.z for q in quadrature_nodes(contour)]
+    _WORKER_STATE.update(spec=spec, pencil=spec.pencil())
 
-    n = len(half)
-    assignments = [list(range(w, n, workers)) for w in range(workers)]
-    assignments = [a for a in assignments if a]
-
-    results = [None] * n
     start = time.perf_counter()
     with _one_blas_thread():
         if workers == 1:
-            _init_worker(spec, pencil, zs)
-            chunks = [_run_nodes(a) for a in assignments]
+            rows = [_solve_node(z) for z in zs]
         else:
-            chunks = _run_pool(spec, pencil, zs, assignments)
+            rows = _run_pool(zs, workers)
     wall = time.perf_counter() - start
 
-    for chunk in chunks:
-        for j, vals in chunk:
-            results[j] = vals
-    missing = [j for j, v in enumerate(results) if v is None]
-    if missing:
-        raise RuntimeError(f"nodes never solved: {missing}")
-    ensemble = TransformEnsemble(contour, half, np.array(results))
+    ensemble = TransformEnsemble(contour, np.array(rows))
     speedup = 1.0 if workers == 1 else (
         baseline_time / wall if baseline_time else float("nan"))
     return ensemble, SpeedupRow(workers=workers, wall_time=wall,

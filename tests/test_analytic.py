@@ -142,6 +142,17 @@ class TestBsPut:
             bs_put(50.0, 0.0, 50.0, 0.05, 0.3)
         with pytest.raises(ValueError):
             bs_put(50.0, 1.0, 50.0, 0.05, -0.3)
+        nan, inf = float("nan"), float("inf")
+        for t, strike, r, sigma in ((nan, 50.0, 0.05, 0.3),
+                                    (inf, 50.0, 0.05, 0.3),
+                                    (1.0, nan, 0.05, 0.3),
+                                    (1.0, inf, 0.05, 0.3),
+                                    (1.0, 50.0, nan, 0.3),
+                                    (1.0, 50.0, inf, 0.3),
+                                    (1.0, 50.0, 0.05, nan),
+                                    (1.0, 50.0, 0.05, inf)):
+            with pytest.raises(ValueError, match="finite"):
+                bs_put(50.0, t, strike, r, sigma)
 
     def test_array_input(self):
         got = bs_put(np.array([0.0, 50.0]), 1.0, 50.0, 0.05, 0.3)

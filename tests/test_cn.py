@@ -20,8 +20,9 @@ def exact(x):
 
 class TestMarch1D:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            cn.MarchConfig(0)
+        for steps in (0, 2.5, float("nan")):
+            with pytest.raises(ValueError):
+                cn.MarchConfig(steps)
 
     def test_second_order_convergence(self):
         errs = []

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,22 +80,15 @@ class TestOmegaOfY:
 
 class TestQuadratureNodes:
     def test_count(self):
-        assert len(quadrature_nodes(make(15))) == 29
+        assert [q.j for q in quadrature_nodes(make(15))] == list(range(15))
 
     def test_center_node_real_crossing(self):
         nodes = {q.j: q for q in quadrature_nodes(make(3))}
         assert nodes[0].z == pytest.approx(13.48 - 12.42)
         assert nodes[0].z.imag == 0.0
 
-    def test_conjugate_symmetry(self):
-        nodes = {q.j: q for q in quadrature_nodes(make(15))}
-        for j in range(1, 15):
-            assert nodes[-j].z == pytest.approx(np.conj(nodes[j].z))
-            assert nodes[-j].weight == pytest.approx(np.conj(nodes[j].weight))
-
     def test_monotone_real_part(self):
-        nodes = sorted(quadrature_nodes(make(15)), key=lambda q: q.j)
-        re = [q.z.real for q in nodes if q.j >= 0]
+        re = [q.z.real for q in quadrature_nodes(make(15))]
         assert all(a > b for a, b in zip(re[:-1], re[1:]))
 
     def test_real_part_bounded_by_crossing(self):
@@ -133,6 +125,7 @@ class TestValidate:
         nan = float("nan")
         for bad in ((nan, 1.0, 0.4, 0.1, 3), (1.0, nan, 0.4, 0.1, 3),
                     (1.0, 1.0, nan, 0.1, 3), (1.0, 1.0, 0.4, nan, 3),
-                    (1.0, 1.0, 0.4, float("inf"), 3), (1.0, 1.0, 0.4, 0.1, nan)):
+                    (1.0, 1.0, 0.4, float("inf"), 3), (1.0, 1.0, 0.4, 0.1, nan),
+                    (1.0, 1.0, 0.4, 0.1, 2.5)):
             with pytest.raises(ValueError):
                 ContourParams(*bad)

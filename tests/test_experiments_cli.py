@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lapbs import cli, experiments
@@ -121,7 +122,8 @@ class TestCli:
         (["--workers", "0"], {}),
         ([], {"workers": 0}),
         ([], {"worker_sweep": [1, 0]}),
-    ], ids=["flag", "config", "worker_sweep"])
+        ([], {"workers": 2.5}),
+    ], ids=["flag", "config", "worker_sweep", "fractional"])
     def test_worker_count_below_one_writes_nothing(self, tmp_path, flags,
                                                    config):
         cfg_path = tmp_path / "cfg.json"
@@ -137,6 +139,29 @@ class TestCli:
             pytest.skip("reference cache not built yet")
         rc = cli.main(["reference", "--cache", REFERENCE_CACHE])
         assert rc == 0
+
+    def test_reference_cache_keyed_by_basket_data(self, tmp_path,
+                                                  monkeypatch):
+        if not os.path.exists(REFERENCE_CACHE):
+            pytest.skip("reference cache not built yet")
+        cfg = experiments.default_config("ex3")
+        cfg.reference_cache = REFERENCE_CACHE
+        values, _ = experiments.reference_solution(cfg)  # built for defaults
+        cfg.a12, cfg.out = 0.0, str(tmp_path / "out")
+        with pytest.raises(ValueError, match=r"\['a12'\] differ"):
+            experiments.run_example3(cfg)
+        assert not (tmp_path / "out").exists()
+
+        # a rebuilt cache stores its data, and answers only to that data
+        monkeypatch.setattr(experiments.cn, "march2d",
+                            lambda mesh, basket, config: values)
+        cfg.reference_cache = str(tmp_path / "ref.npz")
+        experiments.reference_solution(cfg, rebuild=True)
+        np.testing.assert_array_equal(
+            experiments.reference_solution(cfg)[0], values)
+        cfg.a12, cfg.maturity = -0.018, 0.5
+        with pytest.raises(ValueError, match=r"\['a12', 'maturity'\]"):
+            experiments.reference_solution(cfg)
 
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):

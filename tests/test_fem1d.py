@@ -30,10 +30,12 @@ class TestMeshAndPayoff:
         assert len(mesh) == 11
         assert mesh.h == 5.0
         assert mesh.x[0] == 0.0 and mesh.x[-1] == 50.0
+        assert Mesh1D(50.0, np.int64(10)).m == 10  # numpy counts pass
 
     def test_mesh_too_coarse(self):
-        with pytest.raises(ValueError):
-            Mesh1D(50.0, 1)
+        for m in (1, 2.5):
+            with pytest.raises(ValueError):
+                Mesh1D(50.0, m)
 
     @pytest.mark.parametrize("L", [-5.0, 0.0, float("nan"), float("inf")])
     def test_mesh_needs_positive_finite_length(self, L):

@@ -32,7 +32,8 @@ class TestMeshAndPayoff:
                                    np.array([80.0, 30.0, 10.0]), 100.0)
         assert list(got) == [20.0, 50.0, 0.0]
 
-    @pytest.mark.parametrize("m1, m2", [(0, 4), (4, 0), (-4, 4)])
+    @pytest.mark.parametrize("m1, m2", [(0, 4), (4, 0), (-4, 4), (2.5, 3),
+                                        (3, 2.5)])
     def test_mesh_needs_an_element_per_side(self, m1, m2):
         with pytest.raises(ValueError, match="at least 1 element"):
             Mesh2D(300.0, 300.0, m1, m2)

@@ -24,17 +24,14 @@ class TestEnsemble:
     def test_from_evaluator_shape(self):
         ens = TransformEnsemble.from_evaluator(contour(15), lambda z: 1.0 / z)
         assert ens.values.shape == (15, 1)
-        assert [q.j for q in ens.nodes] == list(range(15))
+        nodes = quadrature_nodes(contour(15))
+        assert np.array_equal(ens.z, [q.z for q in nodes])
+        assert np.array_equal(ens.weight, [q.weight for q in nodes])
 
     def test_length_mismatch_rejected(self):
-        c = contour(15)
-        half = [q for q in quadrature_nodes(c) if q.j >= 0]
-        with pytest.raises(ValueError):
-            TransformEnsemble(c, half[:-1], np.ones((14, 1), dtype=complex))
-        with pytest.raises(ValueError):
-            TransformEnsemble(c, half, np.ones((14, 1), dtype=complex))
-        with pytest.raises(ValueError):
-            TransformEnsemble(c, half[::-1], np.ones((15, 1), dtype=complex))
+        for rows in (14, 16):
+            with pytest.raises(ValueError, match="one value row per node"):
+                TransformEnsemble(contour(15), np.ones((rows, 1), dtype=complex))
 
 
 class TestInvertAt:
@@ -67,17 +64,18 @@ class TestInvertAt:
 
     def test_vector_values(self):
         c = contour(15)
-        half = [q for q in quadrature_nodes(c) if q.j >= 0]
-        vals = np.array([[1.0 / (q.z + 1.0), 1.0 / (q.z + 5.0)] for q in half])
-        ens = TransformEnsemble(c, half, vals)
+        vals = np.array([[1.0 / (q.z + 1.0), 1.0 / (q.z + 5.0)]
+                         for q in quadrature_nodes(c)])
+        ens = TransformEnsemble(c, vals)
         got = invert_at(ens, 1.0)
         assert got[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
         assert got[1] == pytest.approx(math.exp(-5.0), abs=1e-6)
 
     def test_nonpositive_time_rejected(self):
         ens = TransformEnsemble.from_evaluator(contour(15), lambda z: 1.0 / z)
-        with pytest.raises(ValueError):
-            invert_at(ens, 0.0)
+        for t in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                invert_at(ens, t)
 
     def test_residual_diagnostics_recorded(self):
         ens = TransformEnsemble.from_evaluator(
@@ -117,7 +115,8 @@ class TestGuardAndInputs:
         with pytest.raises(RuntimeError, match="non-finite inversion"):
             invert_at(ens, 1.0)
 
-    @pytest.mark.parametrize("times", [[0.5, 0.0], [-1.0], [1.0, -0.25]])
+    @pytest.mark.parametrize("times", [[0.5, 0.0], [-1.0], [1.0, -0.25],
+                                       [float("nan")], [1.0, float("inf")]])
     def test_invert_many_rejects_nonpositive_times(self, times):
         ens = TransformEnsemble.from_evaluator(contour(15), lambda z: 1.0 / z)
         with pytest.raises(ValueError):
@@ -126,10 +125,10 @@ class TestGuardAndInputs:
     def test_matches_per_node_reference_sum(self):
         # node 0 once, every other node with its conjugate: twice its real part
         c = contour(15)
-        half = [q for q in quadrature_nodes(c) if q.j >= 0]
+        half = quadrature_nodes(c)
         shifts = (0.05, 0.5, 1.0, 2.0)
         ens = TransformEnsemble(
-            c, half, [[1.0 / (q.z + a) for a in shifts] for q in half])
+            c, [[1.0 / (q.z + a) for a in shifts] for q in half])
         times = [0.25, 0.5, 1.0]
         for t, many in zip(times, invert_many(ens, times)):
             ref = np.array([

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lapbs import fem1d, fem2d, parallel
-from lapbs.contour import ContourParams
+from lapbs.contour import ContourParams, quadrature_nodes
 from lapbs.experiments import EX3_CONTOUR
 from lapbs.parallel import ProblemSpec, SpeedupRow, solve_ensemble
 
@@ -48,8 +48,9 @@ class TestProblemSpec:
 class TestSolveEnsemble:
     def test_invalid_workers(self):
         spec = ProblemSpec("put1d", MARKET, 40)
-        with pytest.raises(ValueError):
-            solve_ensemble(spec, C15, workers=0)
+        for workers in (0, 2.5):
+            with pytest.raises(ValueError, match="workers"):
+                solve_ensemble(spec, C15, workers=workers)
 
     def test_bitwise_identical_across_worker_counts(self):
         spec = ProblemSpec("put1d", MARKET, 160)
@@ -69,7 +70,7 @@ class TestSolveEnsemble:
         spec = ProblemSpec("put1d", MARKET, 40)
         ens, _ = solve_ensemble(spec, C15, workers=1)
         assert ens.values.shape == (15, 41)
-        assert [q.j for q in ens.nodes] == list(range(15))
+        assert np.array_equal(ens.z, [q.z for q in quadrature_nodes(C15)])
 
     def test_speedup_uses_baseline(self):
         spec = ProblemSpec("put1d", MARKET, 40)
