@@ -4,10 +4,12 @@ Two-asset basket puts and embarrassingly parallel solves
 
 The same transform-and-invert pipeline prices a put on the maximum of
 two correlated assets: each contour node now requires one complex sparse
-solve on a triangulated grid.  The nodes are completely independent, so
-they fan out over a process pool, one contiguous chunk of nodes per
-worker; the pool returns the rows in node order and the sum runs in a
-fixed order, making the price bitwise identical for any worker count.
+solve on a triangulated grid.  The nodes are split into four contiguous
+groups, fixed by the contour; each group factors one LU, at its middle
+node, and one Krylov basis serves all of its shifts.  The groups are
+independent, so they fan out over a process pool; the pool returns the
+rows in node order and the sum runs in a fixed order, making the price
+bitwise identical for any worker count.
 """
 
 import numpy as np

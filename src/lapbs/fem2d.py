@@ -6,6 +6,7 @@ integrands are quadratic per triangle, so the edge-midpoint rule
 integrates them exactly.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Literal, get_args
@@ -25,12 +26,17 @@ __all__ = [
     "pencil",
     "factor",
     "solve2d",
+    "solve_shifts",
     "dirichlet_nodes",
     "interpolate_p1",
     "relative_l2",
 ]
 
 Condition = Literal["neumann0", "dirichlet0", "transparent"]
+
+_LOG = logging.getLogger(__name__)
+_RESIDUAL_TOL = 1e-10   # relative residual guard of every 2D solve
+_MAX_STEPS = 30         # Krylov steps per shift group before direct solves
 
 
 @dataclass(frozen=True)
@@ -249,17 +255,87 @@ def solve2d(system):
     scale = np.linalg.norm(rhs)
     if not math.isfinite(res):
         raise RuntimeError(f"sparse solve residual is {res:g}")
-    if scale > 0 and res > 1e-10 * scale:
+    if scale > 0 and res > _RESIDUAL_TOL * scale:
         raise RuntimeError(f"sparse solve relative residual {res/scale:g}")
     return sol
+
+
+def solve_shifts(pencil, zs):
+    """``solve2d(pencil.at(z))`` for each z in ``zs``, from one LU.
+
+    Without Robin terms A(z) = A(z0) + (z - z0)*M and the right-hand side
+    b does not depend on z (2D Dirichlet data are 0), so one Arnoldi basis
+    V of K = M*A(z0)^-1 from b serves every shift of (I + (z - z0)*K)*y = b:
+    multi-shift GMRES, z0 the middle shift, whose row is the direct solve.
+    W = A(z0)^-1*V is kept, so x = W*y costs no solve.  A row is kept once
+    its true residual passes ``solve2d``'s guard.  A shift still short of
+    it after ``_MAX_STEPS`` steps (with a warning), and every shift of a
+    pencil with Robin terms, goes to ``solve2d``.
+    """
+    anchor = len(zs) // 2
+    a0, b = pencil.at(zs[anchor])
+    beta = np.linalg.norm(b)
+    if pencil.robin or not beta > 0:
+        return [solve2d(pencil.at(z)) for z in zs]
+    rows, reached = [None] * len(zs), [math.inf] * len(zs)
+
+    def keep(k, x):
+        res = pencil.S @ x + zs[k] * (pencil.M @ x) - b
+        reached[k] = np.linalg.norm(res) / beta
+        if reached[k] <= _RESIDUAL_TOL:
+            rows[k] = x
+
+    lu = factor(a0)
+    direct = lu.solve(b)
+    keep(anchor, direct)
+    shifts = np.array(zs) - zs[anchor]
+    h = np.zeros((_MAX_STEPS + 1, _MAX_STEPS), dtype=complex)
+    basis, solved = [b / beta], [direct / beta]
+    for m in range(1, _MAX_STEPS + 1):
+        v = pencil.M @ solved[-1]
+        for _ in range(2):   # modified Gram-Schmidt, repeated once
+            for i, u in enumerate(basis):
+                c = np.vdot(u, v)
+                h[i, m - 1] += c
+                v -= c * u
+        h[m, m - 1] = np.linalg.norm(v)
+        e1 = beta * np.eye(m + 1)[0]
+        for k in [k for k, row in enumerate(rows) if row is None]:
+            # (I + shift*K) V_m = V_{m+1} (I_bar + shift*H_bar)
+            hk = np.eye(m + 1, m) + shifts[k] * h[:m + 1, :m]
+            y = np.linalg.lstsq(hk, e1)[0]
+            reached[k] = np.linalg.norm(hk @ y - e1) / beta
+            if reached[k] <= _RESIDUAL_TOL:
+                keep(k, y @ np.array(solved))
+        if (all(row is not None for row in rows) or m == _MAX_STEPS
+                or not h[m, m - 1] > 0):
+            break
+        basis.append(v / h[m, m - 1])
+        solved.append(lu.solve(basis[-1]))
+    for k in [k for k, row in enumerate(rows) if row is None]:
+        _LOG.warning("shift z=%s reached relative residual %.3g in %d Krylov "
+                     "steps; solving it directly", zs[k], reached[k], m)
+        rows[k] = solve2d(pencil.at(zs[k]))
+    return rows
+
+
+def _require_within(name, x, bound):
+    """ValueError unless every x is in [0, bound] to rounding (NaN is not)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    slack = 1e-12 * bound
+    bad = x[~((x >= -slack) & (x <= bound + slack))]
+    if bad.size:
+        raise ValueError(f"{name} must lie in [0, {bound:g}], got {bad[0]:g}")
 
 
 def interpolate_p1(values, mesh, x1, x2):
     """Evaluate the triangulated P1 interpolant at tensor points (x1 x x2).
 
-    Points must lie inside [0,L1] x [0,L2]; returns array of shape
-    (len(x2), len(x1)) matching meshgrid layout.
+    Points must lie inside [0,L1] x [0,L2] (else ValueError); returns
+    array of shape (len(x2), len(x1)) matching meshgrid layout.
     """
+    for name, x, L in (("x1", x1, mesh.L1), ("x2", x2, mesh.L2)):
+        _require_within(name + " points", x, L)
     v = np.asarray(values).reshape(mesh.m2 + 1, mesh.m1 + 1)
     I, J = np.meshgrid(np.minimum(np.asarray(x1) / mesh.h1, mesh.m1 - 1e-12),
                        np.minimum(np.asarray(x2) / mesh.h2, mesh.m2 - 1e-12))
@@ -284,8 +360,11 @@ def relative_l2(values, mesh, ref_values, ref_mesh, L1, L2):
     """||u - u_ref|| / ||u_ref|| in discrete L2 over [0,L1] x [0,L2].
 
     Both fields are sampled on the reference grid restricted to the window
-    and integrated with tensor trapezoid weights.
+    and integrated with tensor trapezoid weights.  The window must lie in
+    both meshes' domains (else ValueError).
     """
+    _require_within("window L1", L1, min(mesh.L1, ref_mesh.L1))
+    _require_within("window L2", L2, min(mesh.L2, ref_mesh.L2))
     n1 = int(round(L1 / ref_mesh.h1))
     n2 = int(round(L2 / ref_mesh.h2))
     x1 = ref_mesh.x1[: n1 + 1]

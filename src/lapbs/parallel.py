@@ -1,13 +1,15 @@
 """Fan-out of the per-z elliptic solves across worker processes.
 
-Each contour node is an independent solve at one shift z of the
-problem's pencil, so workers share nothing but that read-only pencil,
-inherited through the fork.  The pool's ordered ``map`` deals the N
-nodes out in contiguous chunks of ceil(N/W), one worker per chunk, and
-returns the rows in node order, so the ensemble is bit-identical for
-any worker count.  A pool that loses a worker is rebuilt once; the
-first error a node raises propagates, and the rest of its chunk is not
-run.
+Each contour node is a solve at one shift z of the problem's pencil.
+The N nodes are split into four contiguous groups (4, 4, 4, 3 for
+N = 15), fixed by the contour alone; a 2D Dirichlet group is solved
+with one LU and one Krylov basis (``fem2d.solve_shifts``), any other
+group node by node.  Workers share nothing but the read-only pencil,
+inherited through the fork.  The pool's ordered ``map`` deals the
+groups out in contiguous chunks, one worker per chunk, and returns the
+rows in node order, so the ensemble is bit-identical for any worker
+count.  A pool that loses a worker is rebuilt once; the first error a
+node raises propagates, and the rest of its chunk is not run.
 
 The nodes are solved with one BLAS thread per process.  numpy's and
 scipy's bundled OpenBLAS each start one thread per CPU, so W workers
@@ -98,12 +100,6 @@ class ProblemSpec:
             return fem1d.pencil(self.mesh(), mk, fem1d.BoundarySpec(left, right))
         return fem2d.pencil(self.mesh(), mk, self.edges or fem2d.EdgeSpec())
 
-    def solve(self, system):
-        """One node's solve, looked up in its module at call time."""
-        if self.kind == "put1d":
-            return fem1d.solve(system)
-        return fem2d.solve2d(system)
-
 
 # (package, its bundled-library directory, library glob, symbol suffix)
 # of each OpenBLAS the wheels ship; numpy's is the 64-bit-integer build
@@ -153,25 +149,30 @@ def _one_blas_thread():
 
 
 _WORKER_STATE = {}   # set before the solves; forked workers inherit it
+_GROUPS = 4          # contiguous node groups, whatever the worker count
 
 
-def _solve_node(z):
-    return _WORKER_STATE["spec"].solve(_WORKER_STATE["pencil"].at(z))
+def _solve_group(zs):
+    """The rows at the shifts ``zs``, by solvers looked up at call time."""
+    pencil = _WORKER_STATE["pencil"]
+    if _WORKER_STATE["spec"].kind == "put1d":
+        return [fem1d.solve(pencil.at(z)) for z in zs]
+    return fem2d.solve_shifts(pencil, zs)
 
 
-def _run_pool(zs, workers):
+def _run_pool(groups, workers):
     """One forked worker per chunk; a pool that breaks is rebuilt once."""
     # imported here, not at the top: the executor machinery adds tens
     # of ms to ``import lapbs``, which in-process runs never use
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    chunk = math.ceil(len(zs) / workers)
+    chunk = math.ceil(len(groups) / workers)
     for attempt in range(2):
         try:
-            with ProcessPoolExecutor(max_workers=math.ceil(len(zs) / chunk),
+            with ProcessPoolExecutor(max_workers=math.ceil(len(groups) / chunk),
                                      mp_context=get_context("fork")) as pool:
-                return list(pool.map(_solve_node, zs, chunksize=chunk))
+                return list(pool.map(_solve_group, groups, chunksize=chunk))
         except BrokenProcessPool as err:
             # a worker died (OOM kill, signal): one fresh pool may succeed
             if attempt == 1:
@@ -189,17 +190,20 @@ def solve_ensemble(spec, contour, workers=1, baseline_time=None):
     """
     fem1d._require_count("workers", workers, 1, "worker")
     zs = [q.z for q in quadrature_nodes(contour)]
+    cuts = [-(-len(zs) * g // _GROUPS) for g in range(_GROUPS + 1)]
+    groups = [zs[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     _WORKER_STATE.update(spec=spec, pencil=spec.pencil())
 
     start = time.perf_counter()
     with _one_blas_thread():
         if workers == 1:
-            rows = [_solve_node(z) for z in zs]
+            rows = [_solve_group(g) for g in groups]
         else:
-            rows = _run_pool(zs, workers)
+            rows = _run_pool(groups, workers)
     wall = time.perf_counter() - start
 
-    ensemble = TransformEnsemble(contour, np.array(rows))
+    ensemble = TransformEnsemble(contour,
+                                 np.array([row for g in rows for row in g]))
     speedup = 1.0 if workers == 1 else (
         baseline_time / wall if baseline_time else float("nan"))
     return ensemble, SpeedupRow(workers=workers, wall_time=wall,

@@ -1,14 +1,18 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu, spsolve
 
+from lapbs import fem2d
+from lapbs.contour import quadrature_nodes
+from lapbs.experiments import EX3_CONTOUR
 from lapbs.fem1d import robin_coefficient
 from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass,
                          build_matrices, dirichlet_nodes, factor,
                          interpolate_p1, payoff_basket_maxput, pencil,
-                         relative_l2, solve2d)
+                         relative_l2, solve2d, solve_shifts)
 
 BASKET = Basket2D(r=0.05, a11=0.09, a22=0.09, a12=-0.018,
                   strike=100.0, maturity=1.0, L1=300.0, L2=300.0)
@@ -264,6 +268,62 @@ class TestSolve2D:
         np.testing.assert_allclose(grid, grid.T, rtol=1e-10, atol=1e-12)
 
 
+class TestSolveShifts:
+    """One LU per group of shifts on a Dirichlet pencil, the same guard as
+    ``solve2d``, and ``solve2d`` itself wherever the Krylov solve falls
+    short or cannot apply."""
+
+    ZS = [q.z for q in quadrature_nodes(EX3_CONTOUR)]
+    GROUPS = [ZS[0:4], ZS[4:8], ZS[8:12], ZS[12:15]]
+
+    @pytest.fixture(scope="class")
+    def dirichlet(self):
+        return pencil(Mesh2D(300.0, 300.0, 32, 32), BASKET, EdgeSpec())
+
+    def test_rows_match_direct_and_pass_the_guard(self, dirichlet):
+        for zs in self.GROUPS:
+            for z, x in zip(zs, solve_shifts(dirichlet, zs)):
+                _, b = dirichlet.at(z)
+                want = solve2d(dirichlet.at(z))
+                assert (np.linalg.norm(x - want)
+                        <= 1e-9 * np.linalg.norm(want))
+                res = dirichlet.S @ x + z * (dirichlet.M @ x) - b
+                assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(b)
+
+    def test_step_cap_falls_back_to_direct(self, dirichlet, monkeypatch):
+        # the anchor's row is the direct solve; the rest fall back to it
+        monkeypatch.setattr(fem2d, "_MAX_STEPS", 1)
+        for zs in self.GROUPS:
+            for z, x in zip(zs, solve_shifts(dirichlet, zs)):
+                assert np.array_equal(x, solve2d(dirichlet.at(z)))
+
+    def test_fallback_logs_a_warning_per_shift(self, dirichlet, monkeypatch,
+                                               caplog):
+        monkeypatch.setattr(fem2d, "_MAX_STEPS", 1)
+        zs = self.GROUPS[1]
+        with caplog.at_level(logging.WARNING, "lapbs.fem2d"):
+            solve_shifts(dirichlet, zs)
+        fell_back = zs[:2] + zs[3:]   # all but the anchor, zs[2]
+        assert len(caplog.records) == len(fell_back)
+        for z, record in zip(fell_back, caplog.records):
+            assert record.levelno == logging.WARNING
+            assert f"z={z}" in record.getMessage()
+            assert "relative residual" in record.getMessage()
+
+    def test_robin_pencil_solved_per_shift(self):
+        p = pencil(Mesh2D(150.0, 150.0, 16, 16), BASKET,
+                   EdgeSpec(x1_far="transparent", x2_far="transparent"))
+        zs = self.GROUPS[2]
+        for z, x in zip(zs, solve_shifts(p, zs)):
+            assert np.array_equal(x, solve2d(p.at(z)))
+
+    def test_zero_data_gives_zero(self):
+        p = pencil(Mesh2D(300.0, 300.0, 8, 8), BASKET, EdgeSpec(),
+                   u0=lambda x1, x2: 0.0 * x1)
+        for x in solve_shifts(p, self.GROUPS[0]):
+            np.testing.assert_allclose(x, 0.0, atol=1e-14)
+
+
 class TestInterpolationAndError:
     def test_reproduces_nodal_values(self):
         mesh = Mesh2D(10.0, 10.0, 5, 5)
@@ -295,3 +355,26 @@ class TestInterpolationAndError:
         vals = 1.25 * (1.0 + mesh.x1g).ravel()
         got = relative_l2(vals, mesh, ref, ref_mesh, 300.0, 300.0)
         assert got == pytest.approx(0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("x1, x2, bad", [
+        ([-30.0], [10.0], "x1 points must lie in \\[0, 300\\], got -30"),
+        ([10.0, 400.0], [10.0], "x1 points must lie in \\[0, 300\\], got 400"),
+        ([10.0], [np.nan], "x2 points must lie in \\[0, 150\\], got nan"),
+    ], ids=["below", "above", "nan"])
+    def test_point_outside_domain_rejected(self, x1, x2, bad):
+        mesh = Mesh2D(300.0, 150.0, 8, 4)
+        with pytest.raises(ValueError, match=bad):
+            interpolate_p1(np.zeros(mesh.n_nodes), mesh, x1, x2)
+
+    @pytest.mark.parametrize("L1, L2, ref_L, bad", [
+        (600.0, 300.0, 300.0, "window L1 must lie in \\[0, 300\\]"),
+        (150.0, 300.0, 600.0, "window L2 must lie in \\[0, 150\\]"),
+        (np.nan, 150.0, 600.0, "window L1 must lie in \\[0, 300\\], got nan"),
+    ], ids=["beyond_reference", "beyond_values", "nan"])
+    def test_relative_l2_window_outside_domain_rejected(self, L1, L2, ref_L,
+                                                        bad):
+        mesh = Mesh2D(300.0, 150.0, 16, 8)
+        ref_mesh = Mesh2D(ref_L, ref_L, 32, 32)
+        with pytest.raises(ValueError, match=bad):
+            relative_l2(np.ones(mesh.n_nodes), mesh,
+                        np.ones(ref_mesh.n_nodes), ref_mesh, L1, L2)

@@ -66,6 +66,31 @@ class TestSolveEnsemble:
         ens, _ = solve_ensemble(spec, EX3_CONTOUR, workers=3)
         assert np.array_equal(ens.values, base.values)
 
+    def test_grouped_2d_bitwise_identical_across_worker_counts(self):
+        spec = ProblemSpec("basket2d", BASKET, 32, edges=fem2d.EdgeSpec())
+        base, _ = solve_ensemble(spec, EX3_CONTOUR, workers=1)
+        for w in (2, 4):
+            ens, _ = solve_ensemble(spec, EX3_CONTOUR, workers=w)
+            assert np.array_equal(ens.values, base.values)
+
+    @pytest.mark.parametrize("edges, factorizations", [
+        (fem2d.EdgeSpec(), 4),
+        (fem2d.EdgeSpec(x1_far="transparent", x2_far="transparent"), 15),
+    ], ids=["dirichlet", "transparent"])
+    def test_one_lu_per_dirichlet_group(self, monkeypatch, edges,
+                                        factorizations):
+        calls = []
+        splu = fem2d.splu
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fem2d, "splu", counted)
+        spec = ProblemSpec("basket2d", BASKET, 32, edges=edges)
+        solve_ensemble(spec, EX3_CONTOUR, workers=1)
+        assert len(calls) == factorizations
+
     def test_ensemble_shape_and_nodes(self):
         spec = ProblemSpec("put1d", MARKET, 40)
         ens, _ = solve_ensemble(spec, C15, workers=1)
