@@ -263,24 +263,26 @@ def solve2d(system):
 def solve_shifts(pencil, zs):
     """``solve2d(pencil.at(z))`` for each z in ``zs``, from one LU.
 
-    Without Robin terms A(z) = A(z0) + (z - z0)*M and the right-hand side
-    b does not depend on z (2D Dirichlet data are 0), so one Arnoldi basis
-    V of K = M*A(z0)^-1 from b serves every shift of (I + (z - z0)*K)*y = b:
-    multi-shift GMRES, z0 the middle shift, whose row is the direct solve.
-    W = A(z0)^-1*V is kept, so x = W*y costs no solve.  A row is kept once
-    its true residual passes ``solve2d``'s guard.  A shift still short of
-    it after ``_MAX_STEPS`` steps (with a warning), and every shift of a
-    pencil with Robin terms, goes to ``solve2d``.
+    b does not depend on z (2D Dirichlet data are 0), so with A(z0) factored
+    at the middle shift z0, GMRES solves (I + D*A(z0)^-1)*y = b for the other
+    shifts, D = A(z) - A(z0), keeping W = A(z0)^-1*V: x = W*y costs no solve.
+    D = (z - z0)*M shares one basis of M*A(z0)^-1 across shifts; with Robin
+    terms each shift has its own.  A real shift keeps Re(x), exact for real
+    data.  A row is kept once its true residual passes ``solve2d``'s guard;
+    one short after ``_MAX_STEPS`` steps goes to ``solve2d``, with a warning.
     """
     anchor = len(zs) // 2
-    a0, b = pencil.at(zs[anchor])
+    z0 = zs[anchor]
+    a0, b = pencil.at(z0)
     beta = np.linalg.norm(b)
-    if pencil.robin or not beta > 0:
+    if not beta > 0:
         return [solve2d(pencil.at(z)) for z in zs]
     rows, reached = [None] * len(zs), [math.inf] * len(zs)
 
     def keep(k, x):
-        res = pencil.S @ x + zs[k] * (pencil.M @ x) - b
+        x = x.real if zs[k].imag == 0 else x   # A(z) and b real at real z
+        res = (pencil.S @ x + zs[k] * (pencil.M @ x) - b
+               + sum(c(zs[k]) * (bk @ x) for c, bk in pencil.robin))
         reached[k] = np.linalg.norm(res) / beta
         if reached[k] <= _RESIDUAL_TOL:
             rows[k] = x
@@ -288,34 +290,38 @@ def solve_shifts(pencil, zs):
     lu = factor(a0)
     direct = lu.solve(b)
     keep(anchor, direct)
-    shifts = np.array(zs) - zs[anchor]
-    h = np.zeros((_MAX_STEPS + 1, _MAX_STEPS), dtype=complex)
-    basis, solved = [b / beta], [direct / beta]
-    for m in range(1, _MAX_STEPS + 1):
-        v = pencil.M @ solved[-1]
-        for _ in range(2):   # modified Gram-Schmidt, repeated once
-            for i, u in enumerate(basis):
-                c = np.vdot(u, v)
-                h[i, m - 1] += c
-                v -= c * u
-        h[m, m - 1] = np.linalg.norm(v)
-        e1 = beta * np.eye(m + 1)[0]
-        for k in [k for k, row in enumerate(rows) if row is None]:
-            # (I + shift*K) V_m = V_{m+1} (I_bar + shift*H_bar)
-            hk = np.eye(m + 1, m) + shifts[k] * h[:m + 1, :m]
-            y = np.linalg.lstsq(hk, e1)[0]
-            reached[k] = np.linalg.norm(hk @ y - e1) / beta
-            if reached[k] <= _RESIDUAL_TOL:
-                keep(k, y @ np.array(solved))
-        if (all(row is not None for row in rows) or m == _MAX_STEPS
-                or not h[m, m - 1] > 0):
-            break
-        basis.append(v / h[m, m - 1])
-        solved.append(lu.solve(basis[-1]))
-    for k in [k for k, row in enumerate(rows) if row is None]:
-        _LOG.warning("shift z=%s reached relative residual %.3g in %d Krylov "
-                     "steps; solving it directly", zs[k], reached[k], m)
-        rows[k] = solve2d(pencil.at(zs[k]))
+    families = ([(sum(((c(z) - c(z0)) * bk for c, bk in pencil.robin),
+                      (z - z0) * pencil.M).dot, {k: 1.0})
+                 for k, z in enumerate(zs) if rows[k] is None] if pencil.robin
+                else [(pencil.M.dot, {k: z - z0 for k, z in enumerate(zs)})])
+    for apply, shifts in families:   # (w -> D*w, {k: shift}) per basis
+        h = np.zeros((_MAX_STEPS + 1, _MAX_STEPS), dtype=complex)
+        basis, solved = [b / beta], [direct / beta]
+        for m in range(1, _MAX_STEPS + 1):
+            v = apply(solved[-1])
+            for _ in range(2):   # modified Gram-Schmidt, repeated once
+                for i, u in enumerate(basis):
+                    c = np.vdot(u, v)
+                    h[i, m - 1] += c
+                    v -= c * u
+            h[m, m - 1] = np.linalg.norm(v)
+            e1 = beta * np.eye(m + 1)[0]
+            for k in [k for k in shifts if rows[k] is None]:
+                # (I + shift*K) V_m = V_{m+1} (I_bar + shift*H_bar)
+                hk = np.eye(m + 1, m) + shifts[k] * h[:m + 1, :m]
+                y = np.linalg.lstsq(hk, e1)[0]
+                reached[k] = np.linalg.norm(hk @ y - e1) / beta
+                if reached[k] <= _RESIDUAL_TOL:
+                    keep(k, y @ np.array(solved))
+            if (all(rows[k] is not None for k in shifts) or m == _MAX_STEPS
+                    or not h[m, m - 1] > 0):
+                break
+            basis.append(v / h[m, m - 1])
+            solved.append(lu.solve(basis[-1]))
+        for k in [k for k in shifts if rows[k] is None]:
+            _LOG.warning("shift z=%s reached relative residual %.3g in %d "
+                         "Krylov steps; solved directly", zs[k], reached[k], m)
+            rows[k] = solve2d(pencil.at(zs[k]))
     return rows
 
 

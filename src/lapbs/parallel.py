@@ -2,9 +2,9 @@
 
 Each contour node is a solve at one shift z of the problem's pencil.
 The N nodes are split into four contiguous groups (4, 4, 4, 3 for
-N = 15), fixed by the contour alone; a 2D Dirichlet group is solved
-with one LU and one Krylov basis (``fem2d.solve_shifts``), any other
-group node by node.  Workers share nothing but the read-only pencil,
+N = 15), fixed by the contour alone; a 2D group, Dirichlet or
+transparent, is solved with one LU and Krylov (``fem2d.solve_shifts``),
+a 1D group node by node.  Workers share nothing but the read-only pencil,
 inherited through the fork.  The pool's ordered ``map`` deals the
 groups out in contiguous chunks, one worker per chunk, and returns the
 rows in node order, so the ensemble is bit-identical for any worker

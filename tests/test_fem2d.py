@@ -269,9 +269,9 @@ class TestSolve2D:
 
 
 class TestSolveShifts:
-    """One LU per group of shifts on a Dirichlet pencil, the same guard as
-    ``solve2d``, and ``solve2d`` itself wherever the Krylov solve falls
-    short or cannot apply."""
+    """One LU per group of shifts, Dirichlet or Robin pencil, the same
+    guard as ``solve2d``, and ``solve2d`` itself wherever the Krylov solve
+    falls short."""
 
     ZS = [q.z for q in quadrature_nodes(EX3_CONTOUR)]
     GROUPS = [ZS[0:4], ZS[4:8], ZS[8:12], ZS[12:15]]
@@ -280,22 +280,46 @@ class TestSolveShifts:
     def dirichlet(self):
         return pencil(Mesh2D(300.0, 300.0, 32, 32), BASKET, EdgeSpec())
 
-    def test_rows_match_direct_and_pass_the_guard(self, dirichlet):
-        for zs in self.GROUPS:
-            for z, x in zip(zs, solve_shifts(dirichlet, zs)):
-                _, b = dirichlet.at(z)
-                want = solve2d(dirichlet.at(z))
-                assert (np.linalg.norm(x - want)
-                        <= 1e-9 * np.linalg.norm(want))
-                res = dirichlet.S @ x + z * (dirichlet.M @ x) - b
-                assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(b)
+    @pytest.fixture(scope="class")
+    def robin(self):
+        return pencil(Mesh2D(150.0, 150.0, 32, 32),
+                      replace(BASKET, L1=150.0, L2=150.0),
+                      EdgeSpec(x1_far="transparent", x2_far="transparent"))
 
-    def test_step_cap_falls_back_to_direct(self, dirichlet, monkeypatch):
-        # the anchor's row is the direct solve; the rest fall back to it
+    def test_rows_match_direct_and_pass_the_guard(self, dirichlet, robin):
+        assert robin.robin and not dirichlet.robin
+        for p in (dirichlet, robin):
+            for zs in self.GROUPS:
+                for z, x in zip(zs, solve_shifts(p, zs)):
+                    a, b = p.at(z)
+                    want = solve2d((a, b))
+                    assert (np.linalg.norm(x - want)
+                            <= 1e-9 * np.linalg.norm(want))
+                    res = p.S @ x + z * (p.M @ x) - b
+                    for c, bk in p.robin:
+                        res += c(z) * (bk @ x)
+                    assert np.allclose(res, a @ x - b, rtol=0, atol=1e-9)
+                    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(b)
+
+    def test_step_cap_falls_back_to_direct(self, dirichlet, robin,
+                                           monkeypatch, caplog):
+        # the anchor's row is the direct solve; each other shift falls back
+        # to it, with one warning giving its own basis's step count
         monkeypatch.setattr(fem2d, "_MAX_STEPS", 1)
-        for zs in self.GROUPS:
-            for z, x in zip(zs, solve_shifts(dirichlet, zs)):
-                assert np.array_equal(x, solve2d(dirichlet.at(z)))
+        for p in (dirichlet, robin):
+            for zs in self.GROUPS:
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, "lapbs.fem2d"):
+                    rows = solve_shifts(p, zs)
+                for z, x in zip(zs, rows):
+                    assert np.array_equal(x, solve2d(p.at(z)))
+                anchor = len(zs) // 2
+                fell_back = zs[:anchor] + zs[anchor + 1:]
+                assert len(caplog.records) == len(fell_back)
+                for z, record in zip(fell_back, caplog.records):
+                    assert record.levelno == logging.WARNING
+                    assert record.getMessage().startswith(f"shift z={z} ")
+                    assert "in 1 Krylov steps" in record.getMessage()
 
     def test_fallback_logs_a_warning_per_shift(self, dirichlet, monkeypatch,
                                                caplog):
@@ -309,13 +333,6 @@ class TestSolveShifts:
             assert record.levelno == logging.WARNING
             assert f"z={z}" in record.getMessage()
             assert "relative residual" in record.getMessage()
-
-    def test_robin_pencil_solved_per_shift(self):
-        p = pencil(Mesh2D(150.0, 150.0, 16, 16), BASKET,
-                   EdgeSpec(x1_far="transparent", x2_far="transparent"))
-        zs = self.GROUPS[2]
-        for z, x in zip(zs, solve_shifts(p, zs)):
-            assert np.array_equal(x, solve2d(p.at(z)))
 
     def test_zero_data_gives_zero(self):
         p = pencil(Mesh2D(300.0, 300.0, 8, 8), BASKET, EdgeSpec(),

@@ -2,6 +2,7 @@ import logging
 import os
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -10,11 +11,14 @@ import pytest
 from lapbs import fem1d, fem2d, parallel
 from lapbs.contour import ContourParams, quadrature_nodes
 from lapbs.experiments import EX3_CONTOUR
+from lapbs.inversion import invert_at
 from lapbs.parallel import ProblemSpec, SpeedupRow, solve_ensemble
 
 C15 = ContourParams(67.38, 62.09, 0.4213, 0.04556, 15)
 MARKET = fem1d.Market1D(0.05, 0.3, 50.0, 1.0, 200.0)
 BASKET = fem2d.Basket2D(0.05, 0.09, 0.09, -0.018, 100.0, 1.0, 300.0, 300.0)
+EDGES = [fem2d.EdgeSpec(),
+         fem2d.EdgeSpec(x1_far="transparent", x2_far="transparent")]
 
 
 class TestProblemSpec:
@@ -67,18 +71,28 @@ class TestSolveEnsemble:
         assert np.array_equal(ens.values, base.values)
 
     def test_grouped_2d_bitwise_identical_across_worker_counts(self):
-        spec = ProblemSpec("basket2d", BASKET, 32, edges=fem2d.EdgeSpec())
-        base, _ = solve_ensemble(spec, EX3_CONTOUR, workers=1)
-        for w in (2, 4):
-            ens, _ = solve_ensemble(spec, EX3_CONTOUR, workers=w)
-            assert np.array_equal(ens.values, base.values)
+        for edges in EDGES:
+            spec = ProblemSpec("basket2d", BASKET, 32, edges=edges)
+            base, _ = solve_ensemble(spec, EX3_CONTOUR, workers=1)
+            for w in (2, 4):
+                ens, _ = solve_ensemble(spec, EX3_CONTOUR, workers=w)
+                assert np.array_equal(ens.values, base.values)
 
-    @pytest.mark.parametrize("edges, factorizations", [
-        (fem2d.EdgeSpec(), 4),
-        (fem2d.EdgeSpec(x1_far="transparent", x2_far="transparent"), 15),
-    ], ids=["dirichlet", "transparent"])
-    def test_one_lu_per_dirichlet_group(self, monkeypatch, edges,
-                                        factorizations):
+    @pytest.mark.parametrize("edges", EDGES, ids=["dirichlet", "transparent"])
+    def test_grouped_2d_real_node_inverts_at_late_times(self, edges):
+        # node 0 is a real shift solved inside a group anchored at node 2;
+        # a complex part there trips invert_at's imaginary guard by t = 2
+        spec = ProblemSpec("basket2d", replace(BASKET, L1=150.0, L2=150.0),
+                           64, edges=edges)
+        ens, _ = solve_ensemble(spec, EX3_CONTOUR, workers=1)
+        assert ens.z[0].imag == 0
+        assert np.all(ens.values[0].imag == 0)
+        for t in (2.0, 4.0):
+            _, residual = invert_at(ens, t, return_residual=True)
+            assert residual == 0.0
+
+    @pytest.mark.parametrize("edges", EDGES, ids=["dirichlet", "transparent"])
+    def test_one_lu_per_group(self, monkeypatch, edges):
         calls = []
         splu = fem2d.splu
 
@@ -89,7 +103,7 @@ class TestSolveEnsemble:
         monkeypatch.setattr(fem2d, "splu", counted)
         spec = ProblemSpec("basket2d", BASKET, 32, edges=edges)
         solve_ensemble(spec, EX3_CONTOUR, workers=1)
-        assert len(calls) == factorizations
+        assert len(calls) == 4
 
     def test_ensemble_shape_and_nodes(self):
         spec = ProblemSpec("put1d", MARKET, 40)
