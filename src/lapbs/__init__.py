@@ -6,7 +6,7 @@ time-domain prices are recovered by spectral quadrature inversion.
 """
 
 from .analytic import bs_put, erf, l2_error, reduction_rate
-from .contour import (ContourParams, QuadNode, kappa_bound, mu, omega_of_y,
+from .contour import (ContourParams, kappa_bound, mu, omega_of_y,
                       quadrature_nodes, validate)
 from .fem1d import (BoundarySpec, Market1D, Mesh1D, payoff_put,
                     left_dirichlet_transform, robin_coefficient)

@@ -1,4 +1,5 @@
-"""Hyperbolic inversion contour: geometry, quadrature nodes, admissibility."""
+"""Hyperbolic inversion contour: geometry, admissibility, and the
+quadrature nodes as a ``(z, weight)`` pair of complex arrays."""
 
 import math
 from dataclasses import dataclass
@@ -9,7 +10,6 @@ from .fem1d import _require_count, _require_positive
 
 __all__ = [
     "ContourParams",
-    "QuadNode",
     "mu",
     "kappa_bound",
     "omega_of_y",
@@ -45,21 +45,6 @@ class ContourParams:
         return self.gamma - self.nu
 
 
-@dataclass(frozen=True)
-class QuadNode:
-    """One contour quadrature point with its folded inversion weight.
-
-    The weight already contains the 1/(2*pi*i*N) factor and both chain-rule
-    derivatives, so the inverse transform is the plain sum of
-    weight * u_hat(z) * exp(z*t) over nodes.  Under this convention
-    node(-j) carries conj(z_j) and conj(weight_j).
-    """
-
-    j: int
-    z: complex
-    weight: complex
-
-
 def mu(r_sup, sigma_floor, sigma_z_norm, constant_sigma):
     """Coercivity defect constant of the transformed operator.
 
@@ -81,26 +66,25 @@ def kappa_bound(s, mu_val):
 def omega_of_y(y, tau):
     """Inverse tanh change of variables, (2/tau) * atanh(y); odd in y."""
     y = np.asarray(y, dtype=float)
-    if np.any(np.abs(y) >= 1.0):
+    if not np.all(np.abs(y) < 1.0):   # a NaN fails too
         raise ValueError("omega_of_y requires |y| < 1")
     out = np.log((1.0 + y) / (1.0 - y)) / tau
     return out if out.ndim else float(out)
 
 
 def quadrature_nodes(p):
-    """The conjugate-half nodes j = 0 ... N-1, in order, with folded
-    weights: node -j of the full rule is node j conjugated (see QuadNode)."""
-    nodes = []
-    inv_2pii_n = 1.0 / (2.0j * math.pi * p.n)
-    for j in range(p.n):
-        y = j / p.n
-        w = omega_of_y(y, p.tau)
-        root = math.hypot(w, p.nu)
-        z = complex(p.gamma - root, p.s * w)
-        dz_dw = complex(-w / root, p.s)
-        dw_dy = 2.0 / (p.tau * (1.0 - y * y))
-        nodes.append(QuadNode(j=j, z=z, weight=inv_2pii_n * dz_dw * dw_dy))
-    return nodes
+    """The conjugate-half nodes j = 0 ... N-1, in order, as complex arrays
+    ``(z, weight)``; z[0] is real.  Each weight folds in 1/(2*pi*i*N) and
+    both chain-rule derivatives, so the inverse transform is the plain sum
+    of weight * u_hat(z) * exp(z*t); node -j of the full rule is node j
+    conjugated."""
+    y = np.arange(p.n) / p.n
+    w = omega_of_y(y, p.tau)
+    root = np.hypot(w, p.nu)
+    z = (p.gamma - root) + 1j * (p.s * w)
+    dz_dw = -w / root + 1j * p.s
+    dw_dy = 2.0 / (p.tau * (1.0 - y * y))
+    return z, 1.0 / (2.0j * math.pi * p.n) * dz_dw * dw_dy
 
 
 def validate(p, kappa):

@@ -44,9 +44,9 @@ def _require_positive(obj, *names):
 
 def _require_count(name, value, least, noun):
     """Raise ValueError unless the count ``value`` is an int or a numpy
-    integer (a float would be truncated, or fail later in ``range``) of
-    at least ``least`` ``noun``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    integer (not a bool, nor a float) of at least ``least`` ``noun``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       and value >= least):
         raise ValueError(f"{name} must be an integer of at least {least} "
                          f"{noun}, got {value!r}")
 

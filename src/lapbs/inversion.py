@@ -1,8 +1,8 @@
 """Time-domain reconstruction from transformed solutions.
 
-The contour sum needs only the conjugate-half nodes j = 0 ... N-1: for
-real problem data the j < 0 terms are complex conjugates of their
-positive partners, so the symmetric sum collapses to
+The contour sum needs only the conjugate-half nodes j = 0 ... N-1, a
+``(z, weight)`` pair of arrays: for real problem data the j < 0 terms
+are conjugates of their positive partners, so the symmetric sum is
 Re{k_0*u_0} + 2*Re{sum_{j>=1} k_j*u_j} with k_j = weight_j*e^{z_j t}.
 Each time costs one vector-matrix product of k over the node rows.  A
 conjugate pair adds to a real number exactly, so the only imaginary part
@@ -34,15 +34,13 @@ class TransformEnsemble:
         self.values = np.atleast_2d(np.asarray(self.values, dtype=complex))
         if self.values.shape[0] != self.contour.n:
             raise ValueError("need one value row per node")
-        nodes = quadrature_nodes(self.contour)
-        self.z = np.array([q.z for q in nodes])
-        self.weight = np.array([q.weight for q in nodes])
+        self.z, self.weight = quadrature_nodes(self.contour)
 
     @classmethod
     def from_evaluator(cls, contour, transform):
         """Build from a scalar transform z -> u_hat(z) (oracle use)."""
-        nodes = quadrature_nodes(contour)
-        return cls(contour, [[transform(q.z)] for q in nodes])
+        z, _ = quadrature_nodes(contour)
+        return cls(contour, [[transform(zj)] for zj in z.tolist()])
 
 
 def invert_at(ensemble, t, return_residual=False):

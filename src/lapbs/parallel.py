@@ -189,7 +189,7 @@ def solve_ensemble(spec, contour, workers=1, baseline_time=None):
     column; by definition speedup(1 worker) = 1.
     """
     fem1d._require_count("workers", workers, 1, "worker")
-    zs = [q.z for q in quadrature_nodes(contour)]
+    zs = quadrature_nodes(contour)[0].tolist()   # numpy's scalars round apart
     cuts = [-(-len(zs) * g // _GROUPS) for g in range(_GROUPS + 1)]
     groups = [zs[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     _WORKER_STATE.update(spec=spec, pencil=spec.pencil())

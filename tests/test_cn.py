@@ -20,7 +20,7 @@ def exact(x):
 
 class TestMarch1D:
     def test_config_validation(self):
-        for steps in (0, 2.5, float("nan")):
+        for steps in (0, 2.5, float("nan"), True):
             with pytest.raises(ValueError):
                 cn.MarchConfig(steps)
 

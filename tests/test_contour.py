@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lapbs.contour import (ContourParams, kappa_bound, mu, omega_of_y,
                            quadrature_nodes, validate)
+from lapbs.experiments import EX3_CONTOUR
 
 TABLE3 = {
     3: (13.48, 12.42, 0.16500),
@@ -74,30 +76,60 @@ class TestOmegaOfY:
         assert omega_of_y(-y, tau) == pytest.approx(-omega_of_y(y, tau))
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            omega_of_y(1.0, 0.5)
+        for y in (1.0, float("nan"), [0.5, float("nan")]):
+            with pytest.raises(ValueError, match=r"\|y\| < 1"):
+                omega_of_y(y, 0.5)
+
+
+def scalar_nodes(p):
+    """Node j's z and weight, one node at a time in Python complex
+    arithmetic: the reference for the vectorized rule."""
+    inv_2pii_n = 1.0 / (2.0j * math.pi * p.n)
+    zs, weights = [], []
+    for j in range(p.n):
+        y = j / p.n
+        w = omega_of_y(y, p.tau)
+        root = math.hypot(w, p.nu)
+        zs.append(complex(p.gamma - root, p.s * w))
+        dz_dw = complex(-w / root, p.s)
+        dw_dy = 2.0 / (p.tau * (1.0 - y * y))
+        weights.append(inv_2pii_n * dz_dw * dw_dy)
+    return np.array(zs), np.array(weights)
+
+
+CONTOURS = {**{f"table3_n{n}": make(n) for n in TABLE3}, "ex3": EX3_CONTOUR}
 
 
 class TestQuadratureNodes:
     def test_count(self):
-        assert [q.j for q in quadrature_nodes(make(15))] == list(range(15))
+        z, weight = quadrature_nodes(make(15))
+        assert z.shape == weight.shape == (15,)
+        assert z.dtype == weight.dtype == np.complex128
 
     def test_center_node_real_crossing(self):
-        nodes = {q.j: q for q in quadrature_nodes(make(3))}
-        assert nodes[0].z == pytest.approx(13.48 - 12.42)
-        assert nodes[0].z.imag == 0.0
+        z, _ = quadrature_nodes(make(3))
+        assert z[0] == pytest.approx(13.48 - 12.42)
+        assert z[0].imag == 0.0
+
+    @pytest.mark.parametrize("p", CONTOURS.values(), ids=CONTOURS.keys())
+    def test_bitwise_equal_to_scalar_formula(self, p):
+        z, weight = quadrature_nodes(p)
+        ref_z, ref_weight = scalar_nodes(p)
+        assert z.tobytes() == ref_z.tobytes()
+        assert weight.tobytes() == ref_weight.tobytes()
+        # solve_shifts keeps only the real part of a row at a real shift
+        assert z[0].imag == 0.0
 
     def test_monotone_real_part(self):
-        re = [q.z.real for q in quadrature_nodes(make(15))]
+        re = quadrature_nodes(make(15))[0].real
         assert all(a > b for a, b in zip(re[:-1], re[1:]))
 
     def test_real_part_bounded_by_crossing(self):
         p = make(9)
-        for q in quadrature_nodes(p):
-            if q.j == 0:
-                assert q.z.real == pytest.approx(p.crossing)
-            else:
-                assert q.z.real < p.crossing
+        z, _ = quadrature_nodes(p)
+        assert z[0].real == pytest.approx(p.crossing)
+        for zj in z[1:]:
+            assert zj.real < p.crossing
 
 
 class TestValidate:
@@ -126,6 +158,6 @@ class TestValidate:
         for bad in ((nan, 1.0, 0.4, 0.1, 3), (1.0, nan, 0.4, 0.1, 3),
                     (1.0, 1.0, nan, 0.1, 3), (1.0, 1.0, 0.4, nan, 3),
                     (1.0, 1.0, 0.4, float("inf"), 3), (1.0, 1.0, 0.4, 0.1, nan),
-                    (1.0, 1.0, 0.4, 0.1, 2.5)):
+                    (1.0, 1.0, 0.4, 0.1, 2.5), (1.0, 1.0, 0.4, 0.1, True)):
             with pytest.raises(ValueError):
                 ContourParams(*bad)

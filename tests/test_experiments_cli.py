@@ -123,7 +123,8 @@ class TestCli:
         ([], {"workers": 0}),
         ([], {"worker_sweep": [1, 0]}),
         ([], {"workers": 2.5}),
-    ], ids=["flag", "config", "worker_sweep", "fractional"])
+        ([], {"workers": True}),
+    ], ids=["flag", "config", "worker_sweep", "fractional", "bool"])
     def test_worker_count_below_one_writes_nothing(self, tmp_path, flags,
                                                    config):
         cfg_path = tmp_path / "cfg.json"

@@ -37,7 +37,7 @@ class TestMeshAndPayoff:
         assert list(got) == [20.0, 50.0, 0.0]
 
     @pytest.mark.parametrize("m1, m2", [(0, 4), (4, 0), (-4, 4), (2.5, 3),
-                                        (3, 2.5)])
+                                        (3, 2.5), (True, 3)])
     def test_mesh_needs_an_element_per_side(self, m1, m2):
         with pytest.raises(ValueError, match="at least 1 element"):
             Mesh2D(300.0, 300.0, m1, m2)
@@ -273,7 +273,7 @@ class TestSolveShifts:
     guard as ``solve2d``, and ``solve2d`` itself wherever the Krylov solve
     falls short."""
 
-    ZS = [q.z for q in quadrature_nodes(EX3_CONTOUR)]
+    ZS = quadrature_nodes(EX3_CONTOUR)[0].tolist()
     GROUPS = [ZS[0:4], ZS[4:8], ZS[8:12], ZS[12:15]]
 
     @pytest.fixture(scope="class")

@@ -24,9 +24,9 @@ class TestEnsemble:
     def test_from_evaluator_shape(self):
         ens = TransformEnsemble.from_evaluator(contour(15), lambda z: 1.0 / z)
         assert ens.values.shape == (15, 1)
-        nodes = quadrature_nodes(contour(15))
-        assert np.array_equal(ens.z, [q.z for q in nodes])
-        assert np.array_equal(ens.weight, [q.weight for q in nodes])
+        z, weight = quadrature_nodes(contour(15))
+        assert np.array_equal(ens.z, z)
+        assert np.array_equal(ens.weight, weight)
 
     def test_length_mismatch_rejected(self):
         for rows in (14, 16):
@@ -64,8 +64,8 @@ class TestInvertAt:
 
     def test_vector_values(self):
         c = contour(15)
-        vals = np.array([[1.0 / (q.z + 1.0), 1.0 / (q.z + 5.0)]
-                         for q in quadrature_nodes(c)])
+        vals = np.array([[1.0 / (z + 1.0), 1.0 / (z + 5.0)]
+                         for z in quadrature_nodes(c)[0].tolist()])
         ens = TransformEnsemble(c, vals)
         got = invert_at(ens, 1.0)
         assert got[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
@@ -125,16 +125,16 @@ class TestGuardAndInputs:
     def test_matches_per_node_reference_sum(self):
         # node 0 once, every other node with its conjugate: twice its real part
         c = contour(15)
-        half = quadrature_nodes(c)
+        z, weight = (a.tolist() for a in quadrature_nodes(c))
         shifts = (0.05, 0.5, 1.0, 2.0)
         ens = TransformEnsemble(
-            c, [[1.0 / (q.z + a) for a in shifts] for q in half])
+            c, [[1.0 / (zj + a) for a in shifts] for zj in z])
         times = [0.25, 0.5, 1.0]
         for t, many in zip(times, invert_many(ens, times)):
             ref = np.array([
-                math.fsum((1 if q.j == 0 else 2)
-                          * (q.weight * np.exp(q.z * t) * u).real
-                          for q, u in zip(half, ens.values[:, i]))
+                math.fsum((1 if j == 0 else 2)
+                          * (weight[j] * np.exp(z[j] * t) * u).real
+                          for j, u in enumerate(ens.values[:, i]))
                 for i in range(len(shifts))])
             np.testing.assert_allclose(invert_at(ens, t), ref, rtol=1e-13)
             np.testing.assert_allclose(many, ref, rtol=1e-13)

@@ -52,7 +52,7 @@ class TestProblemSpec:
 class TestSolveEnsemble:
     def test_invalid_workers(self):
         spec = ProblemSpec("put1d", MARKET, 40)
-        for workers in (0, 2.5):
+        for workers in (0, 2.5, True):
             with pytest.raises(ValueError, match="workers"):
                 solve_ensemble(spec, C15, workers=workers)
 
@@ -109,7 +109,19 @@ class TestSolveEnsemble:
         spec = ProblemSpec("put1d", MARKET, 40)
         ens, _ = solve_ensemble(spec, C15, workers=1)
         assert ens.values.shape == (15, 41)
-        assert np.array_equal(ens.z, [q.z for q in quadrature_nodes(C15)])
+        assert np.array_equal(ens.z, quadrature_nodes(C15)[0])
+
+    @pytest.mark.parametrize("right_bc", ["dirichlet0", "transparent"])
+    def test_1d_rows_are_solves_at_python_complex_nodes(self, right_bc):
+        # numpy and CPython round complex scalar arithmetic differently,
+        # so the solvers must be handed Python ``complex`` nodes
+        spec = ProblemSpec("put1d", replace(MARKET, L=50.0), 640,
+                           right_bc=right_bc)
+        ens, _ = solve_ensemble(spec, C15, workers=1)
+        p = spec.pencil()
+        for j, z in enumerate(quadrature_nodes(C15)[0].tolist()):
+            assert type(z) is complex
+            assert np.array_equal(ens.values[j], fem1d.solve(p.at(z)))
 
     def test_speedup_uses_baseline(self):
         spec = ProblemSpec("put1d", MARKET, 40)
