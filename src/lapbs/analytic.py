@@ -1,31 +1,22 @@
-"""Closed-form Black-Scholes put, erf, and error metrics.
+"""Closed-form Black-Scholes put and error metrics.
 
-``erf`` and ``bs_put`` wrap ``scipy.special.erf`` and ``ndtr`` (the normal
-CDF): a float or an ndarray of any shape in, a Python float for a scalar.
+``bs_put`` prices on ``scipy.special.ndtr`` (the normal CDF): a float or
+an ndarray of any shape in, a Python float for a scalar.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["erf", "bs_put", "l2_error", "reduction_rate"]
-
-
-def erf(x):
-    """Error function of a float or an ndarray (shape kept); odd, +-1 at
-    +-inf, NaN for NaN.  Within 2.3 ulp of 40-digit mpmath on [-7, 7]."""
-    # at first use: scipy.special adds 60-90 ms to ``import lapbs``
-    from scipy.special import erf as _erf
-
-    out = _erf(np.asarray(x, dtype=float))
-    return out if out.ndim else float(out)
+__all__ = ["bs_put", "l2_error", "reduction_rate"]
 
 
 def bs_put(x, t, strike, r, sigma):
     """Black-Scholes European put value at spot(s) ``x`` (float or ndarray,
     shape kept); spots x <= 0, and those so small that x/strike underflows
     to 0, get the discounted strike; x = +inf gets 0."""
-    from scipy.special import ndtr  # at first use, as in ``erf``
+    # at first use: scipy.special adds 60-90 ms to ``import lapbs``
+    from scipy.special import ndtr
 
     for name, value in (("t", t), ("strike", strike), ("sigma", sigma)):
         if not 0 < value < math.inf:   # a NaN fails too

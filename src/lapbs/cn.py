@@ -39,8 +39,7 @@ def march1d(mesh, market, config):
     """theta = 1/2 two-level scheme for the put; the end values are
     pinned each step."""
     ends = lambda t: (market.strike * np.exp(-market.r * t), 0.0)
-    both_ends = fem1d.BoundarySpec(left=lambda z: 0.0, right=lambda z: 0.0)
-    p = fem1d.pencil(mesh, market, both_ends)
+    p = fem1d.pencil(mesh, market)
     dt = market.maturity / config.steps
     lhs = p.S + (2.0 / dt) * p.M
     # the tridiagonal LU once (lower, main, upper band); each step back-solves

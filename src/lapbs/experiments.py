@@ -55,11 +55,9 @@ class ExperimentConfig:
     maturity: float = 1.0
     L: float = 200.0
     meshes: List[int] = field(default_factory=lambda: [10, 20, 40, 80, 160, 320, 640])
-    contours: List[dict] = field(
-        default_factory=lambda: [
-            {"n": n, "gamma": g, "nu": nu, "s": CONTOUR_SLOPE, "tau": tau}
-            for n, (g, nu, tau) in TABLE3_ROWS.items()
-        ]
+    contours: List[ContourParams] = field(
+        default_factory=lambda: [ContourParams(g, nu, CONTOUR_SLOPE, tau, n)
+                                 for n, (g, nu, tau) in TABLE3_ROWS.items()]
     )
     # basket fields (ex3); L1 x L2 is Table 8's domain, Table 6 solves on
     # the reference domain [0,600]^2
@@ -75,9 +73,9 @@ class ExperimentConfig:
     reference_cache: str = DEFAULT_REFERENCE_CACHE
 
     def contour(self, n):
-        for row in self.contours:
-            if row["n"] == n:
-                return _contour(row)
+        for c in self.contours:
+            if c.n == n:
+                return c
         raise KeyError(f"no contour row for n={n}")
 
     def market(self):
@@ -109,23 +107,27 @@ def load_config(path=None, example=None):
     unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
+    for i, row in enumerate(data.get("contours", ())):
+        try:
+            data["contours"][i] = ContourParams(**row)
+        except TypeError as e:
+            raise ValueError(f"bad contour row {row}: {e}") from None
     base = default_config(data.get("example", example))
     for k, v in data.items():
         setattr(base, k, v)
     return base
 
 
-def _contour(row):
-    return ContourParams(row["gamma"], row["nu"], row["s"], row["tau"],
-                         row["n"])
-
-
 def _prepare_run(cfg, contours, mu_val, reference=False):
-    """Check the worker counts and that every contour clears its kappa
-    bound, load the Example-3 reference if asked, then make the output
-    directory: a bad config writes nothing.  Returns the reference."""
+    """Check the worker counts, that Table 8's sweep starts at 1 (its
+    speedup baseline) and that every contour clears its kappa bound, load
+    the Example-3 reference if asked, then make the output directory: a
+    bad config writes nothing.  Returns the reference."""
     for w in (cfg.workers, *cfg.worker_sweep):
         fem1d._require_count("worker counts", w, 1, "worker")
+    if not cfg.worker_sweep or cfg.worker_sweep[0] != 1:
+        raise ValueError("worker counts in worker_sweep must start at 1, "
+                         f"the speedup baseline; got {cfg.worker_sweep!r}")
     for c in contours:
         ok, violations = validate(c, kappa_bound(c.s, mu_val))
         if not ok:
@@ -191,9 +193,8 @@ def _error_table(cfg, name, first, error_name, rows):
 def run_example1(cfg):
     """Tables 1-3: CN sweep, Laplace sweep at N=15, contour-size study."""
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
-    contours = [_contour(row) for row in cfg.contours]
     market = cfg.market()
-    _prepare_run(cfg, contours, mu_val)
+    _prepare_run(cfg, cfg.contours, mu_val)
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
     error = lambda u, mesh: l2_error(u, exact, mesh)
 
@@ -214,14 +215,14 @@ def run_example1(cfg):
     # Table 3: contour-size study at the finest mesh (paper: 2560 meshes)
     m_fine = 2560
     spec = ProblemSpec("put1d", market, m_fine)
-    t3, _ = _sweep(cfg, [(spec, c) for c in contours], error)
+    t3, _ = _sweep(cfg, [(spec, c) for c in cfg.contours], error)
     _write_csv(
         os.path.join(cfg.out, "table3.csv"),
         ["Number of z", "Number of space meshes", "L2-Error",
          "Reduction rate", "gamma", "nu", "s", "tau"],
         [(str(c.n), str(m_fine), _fmt_err(e), _fmt_rate(r), f"{c.gamma:g}",
           f"{c.nu:g}", f"{c.s:g}", f"{c.tau:g}")
-         for c, (_, e, r, _) in zip(contours, t3)],
+         for c, (_, e, r, _) in zip(cfg.contours, t3)],
     )
 
     report = {
@@ -229,7 +230,7 @@ def run_example1(cfg):
         "kappa": kappa_bound(CONTOUR_SLOPE, mu_val),
         "table1": [(mesh.m, e, r) for mesh, e, r in t1],
         "table2": [(mesh.m, e, r) for mesh, e, r, _ in t2],
-        "table3": [(c.n, e, r) for c, (_, e, r, _) in zip(contours, t3)],
+        "table3": [(c.n, e, r) for c, (_, e, r, _) in zip(cfg.contours, t3)],
         "imag_residuals": res2,
     }
     _write_manifest(cfg, report)
@@ -240,7 +241,7 @@ def run_example2(cfg):
     """Tables 4-5 and the Fig. 1 curves: boundary-condition study at L=50."""
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
     market = cfg.market()
-    _prepare_run(cfg, [_contour(row) for row in cfg.contours], mu_val)
+    _prepare_run(cfg, cfg.contours, mu_val)
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
     error = lambda u, mesh: l2_error(u, exact, mesh)
     c15 = cfg.contour(15)
@@ -270,14 +271,13 @@ def run_example2(cfg):
     return report
 
 
-def reference_solution(cfg=None, rebuild=False):
+def reference_solution(cfg, rebuild=False):
     """Example-3 reference field: CN on [0,600]^2, 512x512, dt = 0.02.
 
     Cached to cfg.reference_cache with the basket data it was built for
     (a cache without them was built for ``default_config("ex3")``); a
     cache built for other data raises ValueError.  Returns (values, Mesh2D).
     """
-    cfg = cfg or default_config("ex3")
     path = cfg.reference_cache
     mesh = fem2d.Mesh2D(600.0, 600.0, 512, 512)
     if not rebuild and os.path.exists(path):
@@ -393,8 +393,8 @@ def run_oracles():
     def check(name, passed, detail=""):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    c15 = ContourParams(*TABLE3_ROWS[15][:2], CONTOUR_SLOPE,
-                        TABLE3_ROWS[15][2], 15)
+    table3 = default_config("ex1")
+    c15 = table3.contour(15)
     for a in (0.05, 1.0, 5.0):
         ens = TransformEnsemble.from_evaluator(c15, lambda z: 1.0 / (z + a))
         got = invert_at(ens, 1.0)
@@ -427,9 +427,7 @@ def run_oracles():
     check("discrete weighted Poincare (1000 fields)", poincare_ok)
     check("discrete coercivity (1000 fields)", coercive_ok)
 
-    rows = [ContourParams(g, nu, CONTOUR_SLOPE, tau, n)
-            for n, (g, nu, tau) in TABLE3_ROWS.items()]
-    z = np.concatenate([quadrature_nodes(p)[0] for p in rows])
+    z = np.concatenate([quadrature_nodes(p)[0] for p in table3.contours])
     rad = (0.05 - 0.5 * 0.09) ** 2 + 2 * 0.09 * (0.05 + z)
     check("Robin branch Re(sqrt) > 0 on all Table-3 nodes",
           np.all(np.sqrt(rad).real > 0))

@@ -8,14 +8,14 @@ assembled in weak form with exact element integrals (the coefficients are
 polynomials, so every entry is closed-form).  The x = 0 node is always a
 Dirichlet node; the right end is either Dirichlet or a transparent Robin
 condition built from the exterior solution's logarithmic derivative.
-One solve at a shift z is ``solve(pencil(mesh, market, bc).at(z))``: the
-pencil is built once per problem and serves every z.
+One solve at a shift z is ``solve(pencil(mesh, market, right_bc).at(z))``:
+the pencil is built once per problem and serves every z.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -23,7 +23,7 @@ from scipy.linalg import solve_banded
 __all__ = [
     "Market1D",
     "Mesh1D",
-    "BoundarySpec",
+    "RIGHT_BCS",
     "payoff_put",
     "left_dirichlet_transform",
     "robin_coefficient",
@@ -82,21 +82,8 @@ class Mesh1D:
         return self.m + 1
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Exactly one condition per endpoint.
-
-    ``left`` is a map z -> Dirichlet value at x=0.  ``right`` is either a
-    map z -> Dirichlet value at x=L, or None for the transparent Robin
-    condition.
-    """
-
-    left: Callable[[complex], complex]
-    right: Optional[Callable[[complex], complex]] = None
-
-    @property
-    def right_is_robin(self):
-        return self.right is None
+# the right-end conditions of the put: 0, or the transparent Robin term
+RIGHT_BCS = ("dirichlet0", "transparent")
 
 
 def payoff_put(x, strike):
@@ -192,9 +179,14 @@ def _bands(d_left, d_right, up, lo, n):
     return out
 
 
-def pencil(mesh, market, bc, u0=None, kink=None):
-    """The problem's :class:`Pencil`, in bands.  ``u0`` defaults to the put
-    payoff with its kink at the strike."""
+def pencil(mesh, market, right_bc="dirichlet0", u0=None):
+    """The put's :class:`Pencil`, in bands, with its boundary data: K/(z+r)
+    at x = 0, and at x = L either 0 ("dirichlet0") or the transparent
+    Robin term ("transparent").  ``u0`` defaults to the put payoff, whose
+    load is integrated exactly with each element split at the strike."""
+    if right_bc not in RIGHT_BCS:
+        raise ValueError(f"unknown right_bc {right_bc!r}; "
+                         f"choose from {RIGHT_BCS}")
     r, s2 = market.r, market.sigma**2
     a, b = mesh.x[:-1], mesh.x[1:]
     h, n = mesh.h, len(mesh)
@@ -210,17 +202,18 @@ def pencil(mesh, market, bc, u0=None, kink=None):
     spatial = _bands(k_el - cc * ixl, k_el + cc * ixr, -k_el + cc * ixl,
                      -k_el - cc * ixr, n) + r * mass
 
+    kink = None
     if u0 is None:
-        u0 = lambda xx: payoff_put(xx, market.strike)
-        kink = market.strike
+        u0, kink = (lambda xx: payoff_put(xx, market.strike)), market.strike
     # x = 0 is always Dirichlet (the operator degenerates there)
-    if bc.right_is_robin:
-        fixed, values = np.array([0]), bc.left
+    left = lambda z: left_dirichlet_transform(z, market.strike, r)
+    if right_bc == "transparent":
+        fixed, values = np.array([0]), left
         edge = np.zeros((3, n))
         edge[1, -1] = 1.0
         robin = ((_robin_term(r, s2, mesh.L), edge),)
     else:
-        fixed, values = np.array([0, n - 1]), lambda z: (bc.left(z), bc.right(z))
+        fixed, values = np.array([0, n - 1]), lambda z: (left(z), 0.0)
         robin = ()
     # row of each band entry: bands[0, j] is row j-1, bands[2, j] row j+1
     pinned = np.isin(np.arange(n) + np.array([[-1], [0], [1]]), fixed)

@@ -50,7 +50,6 @@ class SpeedupRow:
 
 
 _KINDS = {"put1d": fem1d.Market1D, "basket2d": fem2d.Basket2D}
-_RIGHT_BCS = ("dirichlet0", "transparent")
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,9 @@ class ProblemSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; "
                              f"choose from {tuple(_KINDS)}")
-        if self.right_bc not in _RIGHT_BCS:
+        if self.right_bc not in fem1d.RIGHT_BCS:
             raise ValueError(f"unknown right_bc {self.right_bc!r}; "
-                             f"choose from {_RIGHT_BCS}")
+                             f"choose from {fem1d.RIGHT_BCS}")
         market = _KINDS[self.kind]
         if not isinstance(self.market, market):
             raise ValueError(f"{self.kind} needs a {market.__name__}, "
@@ -93,12 +92,10 @@ class ProblemSpec:
 
     def pencil(self):
         """The z-independent pieces, built once per problem."""
-        mk = self.market
         if self.kind == "put1d":
-            left = lambda z: fem1d.left_dirichlet_transform(z, mk.strike, mk.r)
-            right = None if self.right_bc == "transparent" else (lambda z: 0.0)
-            return fem1d.pencil(self.mesh(), mk, fem1d.BoundarySpec(left, right))
-        return fem2d.pencil(self.mesh(), mk, self.edges or fem2d.EdgeSpec())
+            return fem1d.pencil(self.mesh(), self.market, self.right_bc)
+        return fem2d.pencil(self.mesh(), self.market,
+                            self.edges or fem2d.EdgeSpec())
 
 
 # (package, its bundled-library directory, library glob, symbol suffix)

@@ -207,10 +207,7 @@ def test_criterion_9_property_suites(ex1_report, ex2_report, ex3_report,
     # conjugate symmetry of the transformed solves at 1e-12
     market = fem1d.Market1D(0.05, 0.3, 50.0, 1.0, 200.0)
     mesh = fem1d.Mesh1D(200.0, 80)
-    bc = fem1d.BoundarySpec(
-        left=lambda z: fem1d.left_dirichlet_transform(z, 50.0, 0.05),
-        right=lambda z: 0.0)
-    p = fem1d.pencil(mesh, market, bc)
+    p = fem1d.pencil(mesh, market)
     z = quadrature_nodes(C15)[0].tolist()
     for j in range(1, len(z)):
         u = fem1d.solve(p.at(z[j]))

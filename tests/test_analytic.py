@@ -4,95 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lapbs.analytic import bs_put, erf, l2_error, reduction_rate
+from lapbs.analytic import bs_put, l2_error, reduction_rate
 from lapbs.fem1d import Mesh1D
-
-# [DERIVED] mpmath.erf at 50 digits, rounded to double.
-ERF_REFERENCE = {
-    0.5: 0.520499877813046538,
-    1.0: 0.842700792949714869,
-    2.0: 0.995322265018952734,
-    3.5: 0.999999256901627659,
-    5.0: 0.99999999999846254,
-    6.0: 0.999999999999999978,
-}
 
 # [DERIVED] risk-neutral expectation E[e^{-rT}(K-S_T)_+] by scipy
 # quad against the lognormal density (reported abserr ~3e-13).
 PUT_50_ATM = 4.677098618028615
-
-
-class TestErf:
-    def test_frozen_references(self):
-        for x, want in ERF_REFERENCE.items():
-            assert erf(x) == pytest.approx(want, rel=4e-16, abs=0.0)
-
-    def test_zero(self):
-        assert erf(0.0) == 0.0
-
-    def test_saturation(self):
-        assert erf(40.0) == 1.0
-        assert erf(-40.0) == -1.0
-
-    @given(st.floats(-8, 8))
-    def test_odd(self, x):
-        assert erf(-x) == -erf(x)
-
-    @given(st.floats(0, 8), st.floats(0, 8))
-    def test_monotone(self, x1, x2):
-        lo, hi = sorted([x1, x2])
-        assert erf(lo) <= erf(hi)
-
-    def test_array_input(self):
-        xs = np.array([0.5, 1.0, 2.0])
-        got = erf(xs)
-        assert got.shape == (3,)
-        assert got[1] == pytest.approx(ERF_REFERENCE[1.0], rel=4e-16)
-
-    def test_branch_seam_continuity(self):
-        # no seam across |x| = 2
-        assert erf(2.0 - 1e-12) == pytest.approx(erf(2.0 + 1e-12), rel=1e-11)
-
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
-                    min_size=1, max_size=20))
-    def test_array_entry_equals_scalar(self, xs):
-        arr = np.array(xs)
-        got = erf(arr)
-        for i, x in enumerate(arr):
-            want = erf(float(x))
-            assert got[i] == want or (math.isnan(got[i]) and math.isnan(want))
-
-    def test_special_values_in_one_array(self):
-        xs = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0 - 1e-12,
-                       2.0 + 1e-12, 27.0, -27.0, 1.0])
-        got = erf(xs)
-        assert math.isnan(got[0])
-        assert list(got[1:5]) == [1.0, -1.0, 0.0, 0.0]
-        assert got[5] == erf(2.0 - 1e-12) and got[6] == erf(2.0 + 1e-12)
-        assert (got[7], got[8]) == (1.0, -1.0)  # saturates in double
-        assert got[9] == pytest.approx(ERF_REFERENCE[1.0], rel=4e-16)
-        assert math.isnan(erf(float("nan")))
-
-    def test_shape_kept_and_scalar_gives_float(self):
-        xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-        got = erf(xs)
-        assert got.shape == (3, 4)
-        assert got[1, 2] == erf(float(xs[1, 2]))
-        assert type(erf(0.5)) is float
-        assert type(erf(np.float64(0.5))) is float
-
-    def test_mpmath_grid_oracle(self):
-        # measured bounds (scipy.special.erf): <= 2.3 ulp for |x| < 2,
-        # <= 0.51 ulp beyond
-        mpmath = pytest.importorskip("mpmath")
-        xs = np.linspace(-7.0, 7.0, 2001)
-        got = erf(xs)
-        with mpmath.workdps(40):
-            for x, g in zip(xs, got):
-                want = mpmath.erf(mpmath.mpf(float(x)))
-                ulps = (abs(mpmath.mpf(float(g)) - want)
-                        / np.spacing(abs(float(want))))
-                assert ulps <= (10.0 if abs(x) < 2.0 else 1.0), x
 
 
 class TestBsPut:

@@ -49,8 +49,7 @@ class TestMarch1D:
     def test_one_step_is_pencil_solve_at_two_over_dt(self):
         # one CN step from u0 solves (S + zM) u1 = (zM - S) u0, z = 2/dt
         mesh = fem1d.Mesh1D(200.0, 40)
-        bc = fem1d.BoundarySpec(left=lambda z: 0.0, right=lambda z: 0.0)
-        p = fem1d.pencil(mesh, MARKET, bc)
+        p = fem1d.pencil(mesh, MARKET)
         proj = p.M.copy()
         proj[1, [0, -1]] = 1.0
         b0 = p.load.copy()
@@ -68,8 +67,7 @@ class TestMarch1D:
     def test_matches_per_step_banded_solve(self):
         # reference: the march with the step matrix re-solved every step
         mesh = fem1d.Mesh1D(200.0, 160)
-        bc = fem1d.BoundarySpec(left=lambda z: 0.0, right=lambda z: 0.0)
-        p = fem1d.pencil(mesh, MARKET, bc)
+        p = fem1d.pencil(mesh, MARKET)
         steps = 160
         dt = MARKET.maturity / steps
         proj = p.M.copy()

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,21 @@ class TestConfig:
                       "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("row, key", [
+        ({"gamma": 67.38, "nu": 62.09, "s": 0.4213, "tau": 0.04556, "n": 15,
+          "taus": 9.9}, "taus"),
+        ({"gamma": 67.38, "nu": 62.09, "s": 0.4213, "n": 15}, "tau"),
+    ], ids=["unknown_key", "missing_key"])
+    def test_bad_contour_row_rejected_at_load(self, tmp_path, row, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"meshes": [10, 20], "contours": [row]}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="contour row") as err:
+            cli.main(["run", "--example", "ex2", "--config", str(path),
+                      "--out", str(out)])
+        assert f"'{key}'" in str(err.value) and "'n': 15" in str(err.value)
+        assert not out.exists()
+
     def test_contour_lookup(self):
         cfg = experiments.default_config("ex1")
         c = cfg.contour(15)
@@ -60,7 +76,7 @@ class TestConfig:
     def test_inadmissible_contour_aborts_run(self, tmp_path):
         cfg = small_ex1_config(tmp_path)
         # crossing gamma - nu = 0 sits below the kappa bound
-        cfg.contours = [dict(row, gamma=row["nu"]) for row in cfg.contours]
+        cfg.contours = [replace(c, gamma=c.nu) for c in cfg.contours]
         with pytest.raises(ValueError):
             experiments.run_example1(cfg)
 
@@ -124,7 +140,10 @@ class TestCli:
         ([], {"worker_sweep": [1, 0]}),
         ([], {"workers": 2.5}),
         ([], {"workers": True}),
-    ], ids=["flag", "config", "worker_sweep", "fractional", "bool"])
+        ([], {"worker_sweep": [2, 1]}),
+        ([], {"worker_sweep": []}),
+    ], ids=["flag", "config", "worker_sweep", "fractional", "bool",
+            "sweep_not_from_1", "empty_sweep"])
     def test_worker_count_below_one_writes_nothing(self, tmp_path, flags,
                                                    config):
         cfg_path = tmp_path / "cfg.json"

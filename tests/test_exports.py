@@ -25,7 +25,7 @@ def test_all_names_exist_and_star_import_works(name):
 
 
 def test_import_does_not_load_scipy_special():
-    # scipy.special is imported at the first erf or bs_put call: loading
+    # scipy.special is imported at the first bs_put call: loading
     # it with the package would add to every run's start-up
     src = os.path.dirname(os.path.dirname(lapbs.__file__))
     code = "import sys, lapbs; print('scipy.special' in sys.modules)"

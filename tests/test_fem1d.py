@@ -1,21 +1,18 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from lapbs.analytic import l2_error, reduction_rate
-from lapbs.fem1d import (BoundarySpec, Market1D, Mesh1D, _load_vector,
+from lapbs.fem1d import (RIGHT_BCS, Market1D, Mesh1D, _load_vector,
                          left_dirichlet_transform, p1_b_form, p1_l2_sq,
                          p1_weighted_semi_sq, payoff_put, pencil,
                          robin_coefficient, solve)
 
 MARKET = Market1D(r=0.05, sigma=0.3, strike=50.0, maturity=1.0, L=50.0)
-BC_DIRICHLET = BoundarySpec(
-    left=lambda z: left_dirichlet_transform(z, 50.0, 0.05),
-    right=lambda z: 0.0,
-)
 
 # [DERIVED] interior matrix row from sympy element integrals at
 # x_i = 10, h = 5, sigma = 0.3, r = 0.05.  Entry = B_part + z*M_part.
@@ -73,7 +70,7 @@ class TestLeftTransform:
 class TestAssembleOracle:
     def test_interior_row_frozen_values(self):
         mesh = Mesh1D(50.0, 10)  # h = 5, node 2 sits at x = 10
-        p = pencil(mesh, MARKET, BC_DIRICHLET)
+        p = pencil(mesh, MARKET)
         for z in (0.7, 2.0 + 3.0j):
             bands, _ = p.at(z)
             assert bands[1, 2] == pytest.approx(ROW_DIAG_B + z * ROW_DIAG_M)
@@ -106,7 +103,7 @@ class TestAssembleOracle:
     def test_dirichlet_rows(self):
         mesh = Mesh1D(50.0, 10)
         z = 1.5 + 0.5j
-        bands, rhs = pencil(mesh, MARKET, BC_DIRICHLET).at(z)
+        bands, rhs = pencil(mesh, MARKET).at(z)
         assert bands[1, 0] == 1.0 and bands[0, 1] == 0.0
         assert rhs[0] == pytest.approx(50.0 / (z + 0.05))
         assert bands[1, -1] == 1.0 and bands[2, -2] == 0.0
@@ -120,12 +117,12 @@ def dense(bands):
 
 
 class TestPencil:
-    @pytest.mark.parametrize("right", [BC_DIRICHLET.right, None],
+    @pytest.mark.parametrize("right_bc", ["dirichlet0", "transparent"],
                              ids=["dirichlet", "robin"])
-    def test_at_is_shifted_pencil_with_identity_dirichlet_rows(self, right):
+    def test_at_is_shifted_pencil_with_identity_dirichlet_rows(self, right_bc):
         mesh = Mesh1D(50.0, 10)
-        bc = BoundarySpec(left=BC_DIRICHLET.left, right=right)
-        p = pencil(mesh, MARKET, bc)
+        p = pencil(mesh, MARKET, right_bc)
+        robin = right_bc == "transparent"
         # interior rows of S and M are the frozen element integrals
         assert p.S[1, 2] == pytest.approx(ROW_DIAG_B)
         assert p.M[1, 2] == pytest.approx(ROW_DIAG_M)
@@ -136,18 +133,23 @@ class TestPencil:
         bands, rhs = p.at(z)
         got = dense(bands)
         want = dense(p.S) + z * dense(p.M)
-        if right is None:
+        if robin:
             c = robin_coefficient(z, MARKET.r, MARKET.sigma, mesh.L)
             want[-1, -1] -= 0.5 * MARKET.sigma**2 * mesh.L**2 * c
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
-        fixed = [0] if right is None else [0, 10]
+        fixed = [0] if robin else [0, 10]
         assert list(p.fixed) == fixed
         for i in fixed:
             assert np.array_equal(got[i], np.eye(11)[i])
         assert rhs[0] == pytest.approx(50.0 / (z + 0.05))
-        if right is not None:
+        if not robin:
             assert rhs[-1] == 0.0
+
+    def test_unknown_right_bc_rejected(self):
+        with pytest.raises(ValueError, match="neumann0") as err:
+            pencil(Mesh1D(50.0, 10), MARKET, "neumann0")
+        assert str(RIGHT_BCS) in str(err.value)
 
 
 class TestRobinCoefficient:
@@ -193,11 +195,11 @@ class TestSolve:
             return (z * exact(x) + s2 * x * x
                     - r * x * (L - 2.0 * x) + r * exact(x))
 
-        bc = BoundarySpec(left=lambda _: 0.0, right=lambda _: 0.0)
         errors = []
         for m in (16, 32, 64):
             mesh = Mesh1D(L, m)
-            u = solve(pencil(mesh, MARKET, bc, u0=f).at(z))
+            p = pencil(mesh, MARKET, u0=f)
+            u = solve(replace(p, values=lambda _: (0.0, 0.0)).at(z))
             errors.append(l2_error(u.real, exact, mesh))
         assert reduction_rate(errors[0], errors[1]) == pytest.approx(2.0, abs=0.1)
         assert reduction_rate(errors[1], errors[2]) == pytest.approx(2.0, abs=0.1)
@@ -205,15 +207,15 @@ class TestSolve:
     def test_conjugate_symmetry_of_solution(self):
         mesh = Mesh1D(50.0, 40)
         z = 1.39 + 62.0j
-        p = pencil(mesh, MARKET, BC_DIRICHLET)
+        p = pencil(mesh, MARKET)
         u = solve(p.at(z))
         v = solve(p.at(np.conj(z)))
         np.testing.assert_allclose(v, np.conj(u), rtol=1e-12, atol=1e-14)
 
     def test_zero_data_gives_zero(self):
         mesh = Mesh1D(50.0, 20)
-        bc = BoundarySpec(left=lambda _: 0.0, right=lambda _: 0.0)
-        u = solve(pencil(mesh, MARKET, bc, u0=lambda x: 0.0 * x).at(2.0))
+        p = pencil(mesh, MARKET, u0=lambda x: 0.0 * x)
+        u = solve(replace(p, values=lambda _: (0.0, 0.0)).at(2.0))
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
     def test_robin_matches_dirichlet_on_large_domain(self):
@@ -221,10 +223,8 @@ class TestSolve:
         z = 1.06
         big = Market1D(0.05, 0.3, 50.0, 1.0, 400.0)
         mesh = Mesh1D(400.0, 800)
-        bc_robin = BoundarySpec(
-            left=lambda zz: left_dirichlet_transform(zz, 50.0, 0.05))
-        u_r = solve(pencil(mesh, big, bc_robin).at(z))
-        u_d = solve(pencil(mesh, big, BC_DIRICHLET).at(z))
+        u_r = solve(pencil(mesh, big, "transparent").at(z))
+        u_d = solve(pencil(mesh, big).at(z))
         i = 100  # x = 50
         assert abs(u_r[i] - u_d[i]) < 1e-8 * abs(u_d[i])
 
