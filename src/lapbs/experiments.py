@@ -193,7 +193,7 @@ def _error_table(cfg, name, first, error_name, rows):
 def run_example1(cfg):
     """Tables 1-3: CN sweep, Laplace sweep at N=15, contour-size study."""
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
-    market = cfg.market()
+    market, c15 = cfg.market(), cfg.contour(15)
     _prepare_run(cfg, cfg.contours, mu_val)
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
     error = lambda u, mesh: l2_error(u, exact, mesh)
@@ -207,7 +207,6 @@ def run_example1(cfg):
                  [(mesh.m, mesh.m, mesh.h, e, r) for mesh, e, r in t1])
 
     # Table 2: Laplace at N = 15
-    c15 = cfg.contour(15)
     t2, res2 = _sweep(cfg, _jobs("put1d", market, cfg.meshes, c15), error)
     _error_table(cfg, "table2.csv", "Number of z", "Error in L2",
                  [(c15.n, mesh.m, mesh.h, e, r) for mesh, e, r, _ in t2])
@@ -240,11 +239,10 @@ def run_example1(cfg):
 def run_example2(cfg):
     """Tables 4-5 and the Fig. 1 curves: boundary-condition study at L=50."""
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
-    market = cfg.market()
+    market, c15 = cfg.market(), cfg.contour(15)
     _prepare_run(cfg, cfg.contours, mu_val)
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
     error = lambda u, mesh: l2_error(u, exact, mesh)
-    c15 = cfg.contour(15)
 
     t4, res4 = _sweep(cfg, _jobs("put1d", market, cfg.meshes, c15), error)
     t5, res5 = _sweep(cfg, _jobs("put1d", market, cfg.meshes, c15,

@@ -179,11 +179,11 @@ def _bands(d_left, d_right, up, lo, n):
     return out
 
 
-def pencil(mesh, market, right_bc="dirichlet0", u0=None):
+def pencil(mesh, market, right_bc="dirichlet0"):
     """The put's :class:`Pencil`, in bands, with its boundary data: K/(z+r)
     at x = 0, and at x = L either 0 ("dirichlet0") or the transparent
-    Robin term ("transparent").  ``u0`` defaults to the put payoff, whose
-    load is integrated exactly with each element split at the strike."""
+    Robin term ("transparent").  The load is the put payoff's, integrated
+    exactly with each element split at the strike."""
     if right_bc not in RIGHT_BCS:
         raise ValueError(f"unknown right_bc {right_bc!r}; "
                          f"choose from {RIGHT_BCS}")
@@ -202,9 +202,6 @@ def pencil(mesh, market, right_bc="dirichlet0", u0=None):
     spatial = _bands(k_el - cc * ixl, k_el + cc * ixr, -k_el + cc * ixl,
                      -k_el - cc * ixr, n) + r * mass
 
-    kink = None
-    if u0 is None:
-        u0, kink = (lambda xx: payoff_put(xx, market.strike)), market.strike
     # x = 0 is always Dirichlet (the operator degenerates there)
     left = lambda z: left_dirichlet_transform(z, market.strike, r)
     if right_bc == "transparent":
@@ -219,8 +216,9 @@ def pencil(mesh, market, right_bc="dirichlet0", u0=None):
     pinned = np.isin(np.arange(n) + np.array([[-1], [0], [1]]), fixed)
     spatial[pinned] = mass[pinned] = 0.0
     spatial[1, fixed] = 1.0
-    return Pencil(spatial, mass, _load_vector(mesh, u0, kink=kink), fixed,
-                  values, robin)
+    load = _load_vector(mesh, lambda xx: payoff_put(xx, market.strike),
+                        kink=market.strike)
+    return Pencil(spatial, mass, load, fixed, values, robin)
 
 
 def solve(system):

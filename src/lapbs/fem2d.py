@@ -9,13 +9,13 @@ integrates them exactly.
 import logging
 import math
 from dataclasses import dataclass
-from typing import Literal, get_args
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, diags
 from scipy.sparse.linalg import splu
 
-from .fem1d import Pencil, _require_count, _require_positive, _robin_term
+from .fem1d import (RIGHT_BCS, Pencil, _require_count, _require_positive,
+                    _robin_term)
 
 __all__ = [
     "Basket2D",
@@ -27,12 +27,9 @@ __all__ = [
     "factor",
     "solve2d",
     "solve_shifts",
-    "dirichlet_nodes",
     "interpolate_p1",
     "relative_l2",
 ]
-
-Condition = Literal["neumann0", "dirichlet0", "transparent"]
 
 _LOG = logging.getLogger(__name__)
 _RESIDUAL_TOL = 1e-10   # relative residual guard of every 2D solve
@@ -80,20 +77,17 @@ class Mesh2D:
 
 @dataclass(frozen=True)
 class EdgeSpec:
-    """One condition per edge of the rectangle."""
+    """The condition at each far edge, x1 = L1 and x2 = L2, named from
+    ``fem1d.RIGHT_BCS`` like the put's right end.  The edges x1 = 0 and
+    x2 = 0 always keep the natural zero-flux condition."""
 
-    x1_zero: Condition = "neumann0"
-    x2_zero: Condition = "neumann0"
-    x1_far: Condition = "dirichlet0"
-    x2_far: Condition = "dirichlet0"
+    x1_far: str = "dirichlet0"
+    x2_far: str = "dirichlet0"
 
     def __post_init__(self):
-        # `pencil` builds Robin terms on the far edges only
-        for edge in ("x1_zero", "x2_zero", "x1_far", "x2_far"):
-            allowed = tuple(c for c in get_args(Condition)
-                            if edge.endswith("far") or c != "transparent")
-            if getattr(self, edge) not in allowed:
-                raise ValueError(f"{edge} must be one of {allowed}, "
+        for edge in ("x1_far", "x2_far"):
+            if getattr(self, edge) not in RIGHT_BCS:
+                raise ValueError(f"{edge} must be one of {RIGHT_BCS}, "
                                  f"got {getattr(self, edge)!r}")
 
 
@@ -183,22 +177,11 @@ def build_matrices(mesh, basket, u0):
     return spatial, mass, load
 
 
-def _edge_nodes(mesh):
-    """Node indices along each edge, keyed by the ``EdgeSpec`` field."""
+def _far_nodes(mesh):
+    """Node indices along each far edge, keyed by the ``EdgeSpec`` field."""
     m1, m2 = mesh.m1, mesh.m2
-    x1_zero = np.arange(m2 + 1) * (m1 + 1)
-    x2_zero = np.arange(m1 + 1)
-    return {"x1_zero": x1_zero, "x1_far": x1_zero + m1,
-            "x2_zero": x2_zero, "x2_far": m2 * (m1 + 1) + x2_zero}
-
-
-def dirichlet_nodes(mesh, edges):
-    """Node indices lying on dirichlet0 edges."""
-    idx = [nodes for edge, nodes in _edge_nodes(mesh).items()
-           if getattr(edges, edge) == "dirichlet0"]
-    if not idx:
-        return np.array([], dtype=int)
-    return np.unique(np.concatenate(idx))
+    return {"x1_far": np.arange(m2 + 1) * (m1 + 1) + m1,
+            "x2_far": m2 * (m1 + 1) + np.arange(m1 + 1)}
 
 
 def _edge_mass(indices, h, n):
@@ -211,21 +194,24 @@ def _edge_mass(indices, h, n):
     return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def pencil(mesh, basket, edges, u0=None):
-    """The problem's :class:`~lapbs.fem1d.Pencil`, in CSC.  ``u0`` defaults
-    to the put-on-maximum payoff."""
-    if u0 is None:
-        u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
+def pencil(mesh, basket, edges):
+    """The basket's :class:`~lapbs.fem1d.Pencil`, in CSC, loaded with the
+    put-on-maximum payoff: on each far edge either 0 ("dirichlet0", its
+    nodes in ``fixed``) or the transparent Robin term ("transparent")."""
+    u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
     spatial, mass, load = build_matrices(mesh, basket, u0)
     n = mesh.n_nodes
-    fixed = dirichlet_nodes(mesh, edges)
+    nodes = _far_nodes(mesh)
+    pinned = np.zeros(n, dtype=bool)
+    for edge, idx in nodes.items():
+        pinned[idx] |= getattr(edges, edge) == "dirichlet0"
+    fixed = np.flatnonzero(pinned)
     # free @ X @ free drops the Dirichlet rows and columns from the
     # structure.  Dropping the columns is exact because every Dirichlet
     # value is 0, and it leaves each Dirichlet node a pure identity row and
     # column, so the matrix is structurally symmetric and partial pivoting
     # keeps the diagonal that a symmetric ordering in `factor` chose.
-    free = diags(np.isin(np.arange(n), fixed, invert=True).astype(float))
-    nodes = _edge_nodes(mesh)
+    free = diags((~pinned).astype(float))
     robin = tuple(
         (_robin_term(basket.r, a, L),
          (free @ _edge_mass(nodes[edge], h, n) @ free).tocsc())

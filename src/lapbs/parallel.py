@@ -84,6 +84,9 @@ class ProblemSpec:
         if self.kind == "put1d" and self.edges is not None:
             raise ValueError("put1d takes its right end from right_bc, "
                              "not edges")
+        if not isinstance(self.edges, (type(None), fem2d.EdgeSpec)):
+            raise ValueError(f"edges must be an EdgeSpec, got {self.edges!r}")
+        self.mesh()   # checks m as the mesh does
 
     def mesh(self):
         if self.kind == "put1d":

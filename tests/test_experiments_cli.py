@@ -66,6 +66,19 @@ class TestConfig:
         assert f"'{key}'" in str(err.value) and "'n': 15" in str(err.value)
         assert not out.exists()
 
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_missing_n15_row_writes_nothing(self, tmp_path, example):
+        gamma, nu, tau = experiments.TABLE3_ROWS[12]
+        row = {"gamma": gamma, "nu": nu, "s": experiments.CONTOUR_SLOPE,
+               "tau": tau, "n": 12}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"meshes": [10, 20], "contours": [row]}))
+        out = tmp_path / "out"
+        with pytest.raises(KeyError, match="n=15"):
+            cli.main(["run", "--example", example, "--config", str(path),
+                      "--out", str(out)])
+        assert not out.exists()
+
     def test_contour_lookup(self):
         cfg = experiments.default_config("ex1")
         c = cfg.contour(15)

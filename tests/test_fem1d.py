@@ -198,7 +198,7 @@ class TestSolve:
         errors = []
         for m in (16, 32, 64):
             mesh = Mesh1D(L, m)
-            p = pencil(mesh, MARKET, u0=f)
+            p = replace(pencil(mesh, MARKET), load=_load_vector(mesh, f))
             u = solve(replace(p, values=lambda _: (0.0, 0.0)).at(z))
             errors.append(l2_error(u.real, exact, mesh))
         assert reduction_rate(errors[0], errors[1]) == pytest.approx(2.0, abs=0.1)
@@ -214,8 +214,9 @@ class TestSolve:
 
     def test_zero_data_gives_zero(self):
         mesh = Mesh1D(50.0, 20)
-        p = pencil(mesh, MARKET, u0=lambda x: 0.0 * x)
-        u = solve(replace(p, values=lambda _: (0.0, 0.0)).at(2.0))
+        p = pencil(mesh, MARKET)
+        u = solve(replace(p, load=np.zeros_like(p.load),
+                          values=lambda _: (0.0, 0.0)).at(2.0))
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
     def test_robin_matches_dirichlet_on_large_domain(self):

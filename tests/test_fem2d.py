@@ -8,11 +8,11 @@ from scipy.sparse.linalg import splu, spsolve
 from lapbs import fem2d
 from lapbs.contour import quadrature_nodes
 from lapbs.experiments import EX3_CONTOUR
-from lapbs.fem1d import robin_coefficient
+from lapbs.fem1d import RIGHT_BCS, robin_coefficient
 from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass,
-                         build_matrices, dirichlet_nodes, factor,
-                         interpolate_p1, payoff_basket_maxput, pencil,
-                         relative_l2, solve2d, solve_shifts)
+                         build_matrices, factor, interpolate_p1,
+                         payoff_basket_maxput, pencil, relative_l2, solve2d,
+                         solve_shifts)
 
 BASKET = Basket2D(r=0.05, a11=0.09, a22=0.09, a12=-0.018,
                   strike=100.0, maturity=1.0, L1=300.0, L2=300.0)
@@ -62,12 +62,19 @@ class TestMeshAndPayoff:
             Mesh2D(L1, L2, 4, 4)
 
     @pytest.mark.parametrize("edge, cond", [
-        ("x1_far", "dirchlet0"), ("x2_zero", "neumann"),
-        ("x1_zero", "transparent"), ("x2_zero", "transparent"),
+        ("x1_far", "dirchlet0"), ("x1_far", "neumann0"),
+        ("x2_far", "neumann0"), ("x2_far", "neumann"),
     ])
     def test_edge_spec_rejects_unknown_conditions(self, edge, cond):
-        with pytest.raises(ValueError, match=edge):
+        with pytest.raises(ValueError, match=edge) as err:
             EdgeSpec(**{edge: cond})
+        assert str(RIGHT_BCS) in str(err.value)
+
+    @pytest.mark.parametrize("edge", ["x1_zero", "x2_zero"])
+    def test_edge_spec_has_no_zero_edge_field(self, edge):
+        # x1 = 0 and x2 = 0 are always zero-flux
+        with pytest.raises(TypeError, match=edge):
+            EdgeSpec(**{edge: "neumann0"})
 
 
 class TestBuildMatrices:
@@ -122,7 +129,7 @@ class TestBuildMatrices:
 class TestBoundaryHandling:
     def test_dirichlet_nodes_default_edges(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
-        idx = dirichlet_nodes(mesh, EdgeSpec())
+        idx = pencil(mesh, BASKET, EdgeSpec()).fixed
         # far edges only: column i=4 and row j=4, 9 distinct nodes
         assert len(idx) == 9
         assert set(idx) == {4, 9, 14, 19, 20, 21, 22, 23, 24}
@@ -130,7 +137,7 @@ class TestBoundaryHandling:
     def test_no_dirichlet_when_transparent(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         edges = EdgeSpec(x1_far="transparent", x2_far="transparent")
-        assert len(dirichlet_nodes(mesh, edges)) == 0
+        assert len(pencil(mesh, BASKET, edges).fixed) == 0
 
     def test_edge_mass_row_sum(self):
         idx = np.array([2, 5, 8])
@@ -152,8 +159,9 @@ class TestBoundaryHandling:
 
     def test_dirichlet_rows_are_identity(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
-        a, rhs = pencil(mesh, BASKET, EdgeSpec()).at(1.0)
-        idx = dirichlet_nodes(mesh, EdgeSpec())
+        p = pencil(mesh, BASKET, EdgeSpec())
+        a, rhs = p.at(1.0)
+        idx = p.fixed
         dense = a.toarray()
         for i in idx:
             row = dense[i].copy()
@@ -186,7 +194,7 @@ class TestPencil:
         p = pencil(mesh, BASKET, edges)
         a, rhs = p.at(z)
         got = a.toarray()
-        fixed = dirichlet_nodes(mesh, edges)
+        fixed = p.fixed
         free = np.setdiff1d(np.arange(mesh.n_nodes), fixed)
         np.testing.assert_allclose(got[np.ix_(free, free)],
                                    want[np.ix_(free, free)], rtol=1e-14)
@@ -243,8 +251,8 @@ class TestSolve2D:
 
     def test_zero_data_gives_zero(self):
         mesh = Mesh2D(300.0, 300.0, 8, 8)
-        sys = pencil(mesh, BASKET, EdgeSpec(),
-                     u0=lambda x1, x2: 0.0 * x1).at(2.0)
+        p = pencil(mesh, BASKET, EdgeSpec())
+        sys = replace(p, load=np.zeros_like(p.load)).at(2.0)
         np.testing.assert_allclose(solve2d(sys), 0.0, atol=1e-14)
 
     def test_nan_rhs_raises(self):
@@ -335,8 +343,8 @@ class TestSolveShifts:
             assert "relative residual" in record.getMessage()
 
     def test_zero_data_gives_zero(self):
-        p = pencil(Mesh2D(300.0, 300.0, 8, 8), BASKET, EdgeSpec(),
-                   u0=lambda x1, x2: 0.0 * x1)
+        p = pencil(Mesh2D(300.0, 300.0, 8, 8), BASKET, EdgeSpec())
+        p = replace(p, load=np.zeros_like(p.load))
         for x in solve_shifts(p, self.GROUPS[0]):
             np.testing.assert_allclose(x, 0.0, atol=1e-14)
 

@@ -41,11 +41,25 @@ class TestProblemSpec:
          "right_bc='transparent'", "edges"),
         ({"kind": "put1d", "market": MARKET, "edges": fem2d.EdgeSpec()},
          "edges", "right_bc"),
+        ({"kind": "put1d", "market": MARKET, "m": 0}, "got 0", "at least 2"),
+        ({"kind": "put1d", "market": MARKET, "m": 1}, "got 1", "at least 2"),
+        ({"kind": "put1d", "market": MARKET, "m": 2.5}, "got 2.5",
+         "at least 2"),
+        ({"kind": "put1d", "market": MARKET, "m": True}, "got True",
+         "at least 2"),
+        ({"kind": "basket2d", "market": BASKET, "m": 0}, "got 0",
+         "at least 1"),
+        ({"kind": "basket2d", "market": BASKET, "edges": "transparent"},
+         "'transparent'", "EdgeSpec"),
+        ({"kind": "basket2d", "market": BASKET,
+          "edges": {"x1_far": "transparent"}}, "'x1_far'", "EdgeSpec"),
     ], ids=["kind_1d", "kind_2d", "right_bc", "market_1d_for_2d",
-            "market_2d_for_1d", "right_bc_on_2d", "edges_on_1d"])
+            "market_2d_for_1d", "right_bc_on_2d", "edges_on_1d", "m0_1d",
+            "m1_1d", "fractional_1d", "bool_1d", "m0_2d", "edges_str",
+            "edges_dict"])
     def test_unknown_kind_or_right_bc_rejected(self, kwargs, bad, allowed):
         with pytest.raises(ValueError) as err:
-            ProblemSpec(m=16, **kwargs)
+            ProblemSpec(**{"m": 16, **kwargs})
         assert bad in str(err.value) and allowed in str(err.value)
 
 
