@@ -11,8 +11,8 @@ the axes, 0 at the far edges).  The Dirichlet rows (and, in 2D, their
 columns) are eliminated in the pencil; each step pins the boundary
 values.  In 1D the factor is LAPACK's tridiagonal LU
 (``dgttrf``/``dgttrs``).  Both 2D LUs, the step matrix and the
-projection, come from ``fem2d.factor``, the symmetric minimum-degree LU
-of the Laplace nodes.
+projection, come from ``fem2d.factor`` in the pencil's nested-dissection
+order, as the Laplace nodes' do.
 """
 
 from dataclasses import dataclass
@@ -66,7 +66,7 @@ def march2d(mesh, basket, config):
     """Crank-Nicolson for the basket put on the triangulated grid."""
     p = fem2d.pencil(mesh, basket, fem2d.EdgeSpec())
     dt = basket.maturity / config.steps
-    lu = fem2d.factor(p.S + (2.0 / dt) * p.M)
+    lu = fem2d.factor(p.S + (2.0 / dt) * p.M, p.order)
     rhs_op = ((2.0 / dt) * p.M - p.S).tocsr()
 
     # L2-projected initial data, matching the 1D march
@@ -75,7 +75,7 @@ def march2d(mesh, basket, config):
     b = p.load.copy()
     b[p.fixed] = 0.0
     proj = p.M + csc_matrix((ones, (p.fixed, p.fixed)), shape=(n, n))
-    u = fem2d.factor(proj).solve(b)
+    u = fem2d.factor(proj, p.order).solve(b)
     for _ in range(config.steps):
         b = rhs_op @ u
         b[p.fixed] = 0.0

@@ -140,8 +140,9 @@ class Pencil:
     ``load`` elsewhere.  The matrices are (3, n) bands in ``solve_banded``
     layout (1D) or CSC (2D).  In 2D every Dirichlet value is 0, so the
     Dirichlet columns are eliminated too: the matrices are structurally
-    symmetric and ``fem2d.factor`` runs a symmetric minimum-degree LU.
-    Crank-Nicolson steps with S + (2/dt)*M.
+    symmetric, and ``fem2d.factor`` runs the LU in ``order``, the grid's
+    nested-dissection order (1D leaves it unset).  Crank-Nicolson steps
+    with S + (2/dt)*M.
     """
 
     S: object
@@ -150,6 +151,7 @@ class Pencil:
     fixed: np.ndarray
     values: Callable[[complex], object]
     robin: tuple = ()   # (c_k, B_k) pairs
+    order: np.ndarray = None   # 2D: the node order of every LU
 
     def at(self, z):
         """(A(z), rhs) at one shift z, as ``solve`` takes it."""

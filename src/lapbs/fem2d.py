@@ -6,6 +6,7 @@ integrands are quadratic per triangle, so the edge-midpoint rule
 integrates them exactly.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "payoff_basket_maxput",
     "build_matrices",
     "pencil",
+    "nested_dissection",
     "factor",
     "solve2d",
     "solve_shifts",
@@ -197,7 +199,9 @@ def _edge_mass(indices, h, n):
 def pencil(mesh, basket, edges):
     """The basket's :class:`~lapbs.fem1d.Pencil`, in CSC, loaded with the
     put-on-maximum payoff: on each far edge either 0 ("dirichlet0", its
-    nodes in ``fixed``) or the transparent Robin term ("transparent")."""
+    nodes in ``fixed``) or the transparent Robin term ("transparent").
+    Its ``order`` is the mesh's ``nested_dissection``, built here, before
+    any worker forks, for every ``factor`` of the pencil."""
     u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
     spatial, mass, load = build_matrices(mesh, basket, u0)
     n = mesh.n_nodes
@@ -221,21 +225,64 @@ def pencil(mesh, basket, edges):
     identity = csc_matrix((np.ones(len(fixed)), (fixed, fixed)), shape=(n, n))
     return Pencil((free @ spatial @ free).tocsc() + identity,
                   (free @ mass @ free).tocsc(), load, fixed, lambda z: 0.0,
-                  robin)
+                  robin, nested_dissection(mesh.m1, mesh.m2))
 
 
-def factor(a):
+@functools.lru_cache(maxsize=None)
+def nested_dissection(m1, m2):
+    """Geometric nested-dissection order of the (m1+1) x (m2+1) node grid
+    (George, SIAM J. Numer. Anal. 10, 1973): bisect the longer side along
+    a grid line, which no triangle edge crosses, order the two halves
+    recursively and put the separator last; boxes of at most 4 nodes keep
+    natural order.  Cached per grid shape, so the array is read-only."""
+    def split(box):   # a block of the node grid: rows j, columns i
+        if box.size <= 4:
+            return [box.ravel()]
+        rows, cols = box.shape
+        if cols >= rows:
+            i = cols // 2
+            return split(box[:, :i]) + split(box[:, i + 1:]) + [box[:, i]]
+        j = rows // 2
+        return split(box[:j]) + split(box[j + 1:]) + [box[j]]
+
+    order = np.concatenate(split(np.arange((m1 + 1) * (m2 + 1))
+                                 .reshape(m2 + 1, m1 + 1)))
+    order.flags.writeable = False
+    return order
+
+
+@dataclass(frozen=True)
+class _OrderedLU:
+    """The SuperLU of ``a[order][:, order]`` (its L, U, perm_r, ... pass
+    through) whose ``solve`` takes and returns natural node order."""
+
+    lu: object
+    order: np.ndarray
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def solve(self, b):
+        y = self.lu.solve(b[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
+def factor(a, order):
     """Sparse LU of a structurally symmetric CSC matrix (a pencil at one
-    shift): symmetric minimum-degree ordering on A^T + A, diagonal pivots."""
-    return splu(a, permc_spec="MMD_AT_PLUS_A",
-                options={"SymmetricMode": True})
+    shift) in the pencil's nested-dissection ``order``: the symmetric
+    permutation, factored with no further column ordering, keeps every
+    diagonal pivot."""
+    return _OrderedLU(splu(a[order][:, order], permc_spec="NATURAL",
+                           options={"SymmetricMode": True}), order)
 
 
-def solve2d(system):
-    """Direct sparse solve of ``Pencil.at(z)``'s (matrix, rhs), with a
-    relative residual guard."""
+def solve2d(system, order):
+    """Direct sparse solve of ``Pencil.at(z)``'s (matrix, rhs), factored
+    in the pencil's ``order``, with a relative residual guard."""
     a, rhs = system
-    lu = factor(a)
+    lu = factor(a, order)
     sol = lu.solve(rhs)
     res = np.linalg.norm(a @ sol - rhs)
     scale = np.linalg.norm(rhs)
@@ -247,7 +294,8 @@ def solve2d(system):
 
 
 def solve_shifts(pencil, zs):
-    """``solve2d(pencil.at(z))`` for each z in ``zs``, from one LU.
+    """``solve2d(pencil.at(z), pencil.order)`` for each z in ``zs``, from
+    one LU.
 
     b does not depend on z (2D Dirichlet data are 0), so with A(z0) factored
     at the middle shift z0, GMRES solves (I + D*A(z0)^-1)*y = b for the other
@@ -262,7 +310,7 @@ def solve_shifts(pencil, zs):
     a0, b = pencil.at(z0)
     beta = np.linalg.norm(b)
     if not beta > 0:
-        return [solve2d(pencil.at(z)) for z in zs]
+        return [solve2d(pencil.at(z), pencil.order) for z in zs]
     rows, reached = [None] * len(zs), [math.inf] * len(zs)
 
     def keep(k, x):
@@ -273,7 +321,7 @@ def solve_shifts(pencil, zs):
         if reached[k] <= _RESIDUAL_TOL:
             rows[k] = x
 
-    lu = factor(a0)
+    lu = factor(a0, pencil.order)
     direct = lu.solve(b)
     keep(anchor, direct)
     families = ([(sum(((c(z) - c(z0)) * bk for c, bk in pencil.robin),
@@ -307,7 +355,7 @@ def solve_shifts(pencil, zs):
         for k in [k for k in shifts if rows[k] is None]:
             _LOG.warning("shift z=%s reached relative residual %.3g in %d "
                          "Krylov steps; solved directly", zs[k], reached[k], m)
-            rows[k] = solve2d(pencil.at(zs[k]))
+            rows[k] = solve2d(pencil.at(zs[k]), pencil.order)
     return rows
 
 
@@ -348,17 +396,27 @@ def interpolate_p1(values, mesh, x1, x2):
     return out
 
 
+def _whole_cells(name, L, h):
+    """L / h, which must be a positive whole number to within 1e-9."""
+    cells = int(round(L / h))
+    if not (cells >= 1 and abs(L / h - cells) <= 1e-9):
+        raise ValueError(f"window {name} = {L:g} is not a whole number of "
+                         f"reference cells (h = {h:g}): {L / h:.6g} cells")
+    return cells
+
+
 def relative_l2(values, mesh, ref_values, ref_mesh, L1, L2):
     """||u - u_ref|| / ||u_ref|| in discrete L2 over [0,L1] x [0,L2].
 
     Both fields are sampled on the reference grid restricted to the window
     and integrated with tensor trapezoid weights.  The window must lie in
-    both meshes' domains (else ValueError).
+    both meshes' domains and end on a reference grid line: a positive whole
+    number of reference cells to within 1e-9 (else ValueError).
     """
     _require_within("window L1", L1, min(mesh.L1, ref_mesh.L1))
     _require_within("window L2", L2, min(mesh.L2, ref_mesh.L2))
-    n1 = int(round(L1 / ref_mesh.h1))
-    n2 = int(round(L2 / ref_mesh.h2))
+    n1, n2 = (_whole_cells(name, L, h) for name, L, h in
+              (("L1", L1, ref_mesh.h1), ("L2", L2, ref_mesh.h2)))
     x1 = ref_mesh.x1[: n1 + 1]
     x2 = ref_mesh.x2[: n2 + 1]
     ref = np.asarray(ref_values).reshape(ref_mesh.m2 + 1, ref_mesh.m1 + 1)

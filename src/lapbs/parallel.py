@@ -44,7 +44,7 @@ _LOG = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SpeedupRow:
-    workers: int
+    workers: int   # the processes that ran: 3 asked over 4 groups run as 2
     wall_time: float
     speedup: float
 
@@ -160,17 +160,16 @@ def _solve_group(zs):
     return fem2d.solve_shifts(pencil, zs)
 
 
-def _run_pool(groups, workers):
+def _run_pool(groups, chunk, processes):
     """One forked worker per chunk; a pool that breaks is rebuilt once."""
     # imported here, not at the top: the executor machinery adds tens
     # of ms to ``import lapbs``, which in-process runs never use
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    chunk = math.ceil(len(groups) / workers)
     for attempt in range(2):
         try:
-            with ProcessPoolExecutor(max_workers=math.ceil(len(groups) / chunk),
+            with ProcessPoolExecutor(max_workers=processes,
                                      mp_context=get_context("fork")) as pool:
                 return list(pool.map(_solve_group, groups, chunksize=chunk))
         except BrokenProcessPool as err:
@@ -186,12 +185,15 @@ def solve_ensemble(spec, contour, workers=1, baseline_time=None):
     Returns (TransformEnsemble, SpeedupRow).  Timing covers only the
     elliptic solves, not the pencil build or the inversion sum.
     ``baseline_time`` is the 1-worker wall time used for the speedup
-    column; by definition speedup(1 worker) = 1.
+    column; by definition speedup(1 worker) = 1.  The row's ``workers`` is
+    the number of processes that ran, one per chunk of groups.
     """
     fem1d._require_count("workers", workers, 1, "worker")
     zs = quadrature_nodes(contour)[0].tolist()   # numpy's scalars round apart
     cuts = [-(-len(zs) * g // _GROUPS) for g in range(_GROUPS + 1)]
     groups = [zs[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    chunk = math.ceil(len(groups) / workers)
+    processes = math.ceil(len(groups) / chunk)
     _WORKER_STATE.update(spec=spec, pencil=spec.pencil())
 
     start = time.perf_counter()
@@ -199,12 +201,12 @@ def solve_ensemble(spec, contour, workers=1, baseline_time=None):
         if workers == 1:
             rows = [_solve_group(g) for g in groups]
         else:
-            rows = _run_pool(groups, workers)
+            rows = _run_pool(groups, chunk, processes)
     wall = time.perf_counter() - start
 
     ensemble = TransformEnsemble(contour,
                                  np.array([row for g in rows for row in g]))
     speedup = 1.0 if workers == 1 else (
         baseline_time / wall if baseline_time else float("nan"))
-    return ensemble, SpeedupRow(workers=workers, wall_time=wall,
+    return ensemble, SpeedupRow(workers=processes, wall_time=wall,
                                 speedup=speedup)

@@ -11,8 +11,8 @@ from lapbs.experiments import EX3_CONTOUR
 from lapbs.fem1d import RIGHT_BCS, robin_coefficient
 from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass,
                          build_matrices, factor, interpolate_p1,
-                         payoff_basket_maxput, pencil, relative_l2, solve2d,
-                         solve_shifts)
+                         nested_dissection, payoff_basket_maxput, pencil,
+                         relative_l2, solve2d, solve_shifts)
 
 BASKET = Basket2D(r=0.05, a11=0.09, a22=0.09, a12=-0.018,
                   strike=100.0, maturity=1.0, L1=300.0, L2=300.0)
@@ -216,28 +216,79 @@ FACTOR_EDGES = pytest.mark.parametrize("edges", [
 ], ids=["dirichlet", "mixed"])
 
 
+SQUARE = (Mesh2D(300.0, 300.0, 32, 32), BASKET)
+NON_SQUARE = (Mesh2D(300.0, 150.0, 24, 12), replace(BASKET, L2=150.0))
+
+
 class TestFactor:
-    """Symmetric elimination keeps every diagonal pivot, so the symmetric
-    minimum-degree ordering survives partial pivoting."""
+    """Symmetric elimination keeps every diagonal pivot, so the
+    nested-dissection ordering survives partial pivoting."""
 
     @pytest.mark.parametrize("z", [2.0, 2.0 + 1.0j, -8.35 + 12.39j])
     @FACTOR_EDGES
     def test_diagonal_pivots_and_less_fill(self, edges, z):
         mesh = Mesh2D(300.0, 300.0, 32, 32)
         a, _ = pencil(mesh, BASKET, edges).at(z)
-        lu = factor(a)
+        lu = factor(a, nested_dissection(32, 32))
         default = splu(a)
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
         nnz = lu.L.nnz + lu.U.nnz
         assert nnz <= 0.85 * (default.L.nnz + default.U.nnz)
 
-    @FACTOR_EDGES
-    def test_solve_matches_spsolve(self, edges):
-        mesh = Mesh2D(300.0, 300.0, 32, 32)
-        a, rhs = pencil(mesh, BASKET, edges).at(-8.35 + 12.39j)
+    @pytest.mark.parametrize("edges, grid", [
+        (EdgeSpec(), SQUARE), (EdgeSpec(x1_far="transparent"), SQUARE),
+        (EdgeSpec(), NON_SQUARE), (EdgeSpec(x1_far="transparent"), NON_SQUARE),
+    ], ids=["dirichlet", "mixed", "dirichlet-non_square", "mixed-non_square"])
+    def test_solve_matches_spsolve(self, edges, grid):
+        p = pencil(*grid, edges)
+        a, rhs = p.at(-8.35 + 12.39j)
         want = spsolve(a, rhs)
-        got = solve2d((a, rhs))
+        got = solve2d((a, rhs), p.order)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("m1, m2", [(1, 1), (1, 9), (9, 1), (2, 2),
+                                        (8, 8), (24, 12), (12, 24), (31, 5),
+                                        (128, 128)])
+    def test_permutation_of_every_node(self, m1, m2):
+        order = nested_dissection(m1, m2)
+        assert np.array_equal(np.sort(order), np.arange((m1 + 1) * (m2 + 1)))
+
+    def test_small_box_keeps_natural_order(self):
+        np.testing.assert_array_equal(nested_dissection(1, 1), [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("m1, m2", [(8, 8), (8, 4), (4, 8)])
+    def test_longer_side_bisected_separator_last(self, m1, m2):
+        n1, n2 = m1 + 1, m2 + 1
+        order = nested_dissection(m1, m2)
+        if n1 >= n2:   # the column i = n1 // 2, bottom to top
+            sep = np.arange(n2) * n1 + n1 // 2
+        else:          # the row j = n2 // 2, left to right
+            sep = (n2 // 2) * n1 + np.arange(n1)
+        np.testing.assert_array_equal(order[-len(sep):], sep)
+        # the first half ends before the second begins
+        first = order[:(len(order) - len(sep)) // 2]
+        i, j = first % n1, first // n1
+        assert np.all(i < n1 // 2) if n1 >= n2 else np.all(j < n2 // 2)
+
+    def test_cached_and_read_only(self):
+        order = nested_dissection(6, 4)
+        assert order is nested_dissection(6, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = 1
+
+    def test_pencil_carries_the_order(self):
+        p = pencil(*NON_SQUARE, EdgeSpec())
+        assert p.order is nested_dissection(24, 12)
+
+    def test_no_more_fill_than_minimum_degree_at_128(self):
+        p = pencil(Mesh2D(300.0, 300.0, 128, 128), BASKET, EdgeSpec())
+        a, _ = p.at(quadrature_nodes(EX3_CONTOUR)[0][7])
+        nd = factor(a, p.order)
+        mmd = splu(a, permc_spec="MMD_AT_PLUS_A",
+                   options={"SymmetricMode": True})
+        assert nd.L.nnz + nd.U.nnz <= mmd.L.nnz + mmd.U.nnz
 
 
 class TestSolve2D:
@@ -245,33 +296,35 @@ class TestSolve2D:
         mesh = Mesh2D(300.0, 300.0, 12, 12)
         z = 3.9 + 33.0j
         p = pencil(mesh, BASKET, EdgeSpec())
-        u = solve2d(p.at(z))
-        v = solve2d(p.at(np.conj(z)))
+        u = solve2d(p.at(z), p.order)
+        v = solve2d(p.at(np.conj(z)), p.order)
         np.testing.assert_allclose(v, np.conj(u), rtol=1e-12, atol=1e-14)
 
     def test_zero_data_gives_zero(self):
         mesh = Mesh2D(300.0, 300.0, 8, 8)
         p = pencil(mesh, BASKET, EdgeSpec())
         sys = replace(p, load=np.zeros_like(p.load)).at(2.0)
-        np.testing.assert_allclose(solve2d(sys), 0.0, atol=1e-14)
+        np.testing.assert_allclose(solve2d(sys, p.order), 0.0, atol=1e-14)
 
     def test_nan_rhs_raises(self):
         mesh = Mesh2D(300.0, 300.0, 8, 8)
         a, rhs = pencil(mesh, BASKET, EdgeSpec()).at(2.0)
         rhs[40] = np.nan
         with pytest.raises(RuntimeError, match="residual is nan"):
-            solve2d((a, rhs))
+            solve2d((a, rhs), nested_dissection(8, 8))
 
     def test_real_z_real_payoff_gives_real_positive_field(self):
         mesh = Mesh2D(300.0, 300.0, 16, 16)
-        u = solve2d(pencil(mesh, BASKET, EdgeSpec()).at(2.0))
+        p = pencil(mesh, BASKET, EdgeSpec())
+        u = solve2d(p.at(2.0), p.order)
         assert np.max(np.abs(u.imag)) < 1e-14
         assert u.real.min() > -1e-10
 
     def test_swap_symmetry(self):
         # a11 = a22 and symmetric payoff: u(x1, x2) = u(x2, x1)
         mesh = Mesh2D(300.0, 300.0, 16, 16)
-        u = solve2d(pencil(mesh, BASKET, EdgeSpec()).at(2.0)).real
+        p = pencil(mesh, BASKET, EdgeSpec())
+        u = solve2d(p.at(2.0), p.order).real
         grid = u.reshape(17, 17)
         np.testing.assert_allclose(grid, grid.T, rtol=1e-10, atol=1e-12)
 
@@ -294,13 +347,18 @@ class TestSolveShifts:
                       replace(BASKET, L1=150.0, L2=150.0),
                       EdgeSpec(x1_far="transparent", x2_far="transparent"))
 
-    def test_rows_match_direct_and_pass_the_guard(self, dirichlet, robin):
+    @pytest.fixture(scope="class")
+    def non_square(self):
+        return pencil(*NON_SQUARE, EdgeSpec(x1_far="transparent"))
+
+    def test_rows_match_direct_and_pass_the_guard(self, dirichlet, robin,
+                                                  non_square):
         assert robin.robin and not dirichlet.robin
-        for p in (dirichlet, robin):
+        for p in (dirichlet, robin, non_square):
             for zs in self.GROUPS:
                 for z, x in zip(zs, solve_shifts(p, zs)):
                     a, b = p.at(z)
-                    want = solve2d((a, b))
+                    want = solve2d((a, b), p.order)
                     assert (np.linalg.norm(x - want)
                             <= 1e-9 * np.linalg.norm(want))
                     res = p.S @ x + z * (p.M @ x) - b
@@ -320,7 +378,7 @@ class TestSolveShifts:
                 with caplog.at_level(logging.WARNING, "lapbs.fem2d"):
                     rows = solve_shifts(p, zs)
                 for z, x in zip(zs, rows):
-                    assert np.array_equal(x, solve2d(p.at(z)))
+                    assert np.array_equal(x, solve2d(p.at(z), p.order))
                 anchor = len(zs) // 2
                 fell_back = zs[:anchor] + zs[anchor + 1:]
                 assert len(caplog.records) == len(fell_back)
@@ -390,6 +448,30 @@ class TestInterpolationAndError:
         mesh = Mesh2D(300.0, 150.0, 8, 4)
         with pytest.raises(ValueError, match=bad):
             interpolate_p1(np.zeros(mesh.n_nodes), mesh, x1, x2)
+
+    @pytest.mark.parametrize("L1, L2, bad", [
+        (150.5, 150.0, "window L1 = 150.5 is not a whole number"),
+        (150.58, 150.0, "window L1 = 150.58 is not a whole number"),
+        (150.0, 140.0, "window L2 = 140 is not a whole number"),
+        (0.0, 150.0, "window L1 = 0 is not a whole number"),
+    ], ids=["half_cell", "off_line", "L2", "empty"])
+    def test_relative_l2_window_off_the_reference_grid_rejected(self, L1, L2,
+                                                                bad):
+        # h = 600/64 = 9.375: 150 is 16 cells, 150.5 is 16.05
+        mesh = Mesh2D(300.0, 300.0, 16, 16)
+        ref_mesh = Mesh2D(600.0, 600.0, 64, 64)
+        with pytest.raises(ValueError, match=bad):
+            relative_l2(np.ones(mesh.n_nodes), mesh,
+                        np.ones(ref_mesh.n_nodes), ref_mesh, L1, L2)
+
+    def test_relative_l2_window_on_a_grid_line_to_rounding(self):
+        mesh = Mesh2D(300.0, 300.0, 16, 16)
+        ref_mesh = Mesh2D(600.0, 600.0, 64, 64)
+        ref = (1.0 + ref_mesh.x1g).ravel()
+        vals = 1.25 * (1.0 + mesh.x1g).ravel()
+        for L in (150.0, 150.0 * (1 + 1e-13), 150.0 * (1 - 1e-13)):
+            got = relative_l2(vals, mesh, ref, ref_mesh, L, L)
+            assert got == pytest.approx(0.25, rel=1e-12)
 
     @pytest.mark.parametrize("L1, L2, ref_L, bad", [
         (600.0, 300.0, 300.0, "window L1 must lie in \\[0, 300\\]"),

@@ -143,6 +143,35 @@ class TestSolveEnsemble:
         assert row.workers == 2
         assert row.speedup == pytest.approx(10.0 / row.wall_time)
 
+    @pytest.mark.parametrize("workers, processes", [(2, 2), (3, 2), (4, 4),
+                                                    (8, 4)])
+    def test_row_counts_the_processes_that_ran(self, workers, processes):
+        # 4 groups in chunks of ceil(4 / workers): 3 workers run as 2
+        spec = ProblemSpec("basket2d", BASKET, 16)
+        base, _ = solve_ensemble(spec, EX3_CONTOUR, workers=1)
+        ens, row = solve_ensemble(spec, EX3_CONTOUR, workers=workers)
+        assert row.workers == processes
+        assert np.array_equal(ens.values, base.values)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("edges", EDGES, ids=["dirichlet", "transparent"])
+    def test_order_is_made_once_at_pencil_build(self, monkeypatch, edges,
+                                                workers):
+        # a forked worker that rebuilt the order would raise here
+        calls = []
+        made = fem2d.nested_dissection
+
+        def once(m1, m2):
+            calls.append((m1, m2))
+            if len(calls) > 1:
+                raise AssertionError("nested-dissection order rebuilt")
+            return made(m1, m2)
+
+        monkeypatch.setattr(fem2d, "nested_dissection", once)
+        spec = ProblemSpec("basket2d", BASKET, 16, edges=edges)
+        solve_ensemble(spec, EX3_CONTOUR, workers=workers)
+        assert calls == [(16, 16)]
+
     def test_speedup_nan_without_baseline(self):
         spec = ProblemSpec("put1d", MARKET, 40)
         _, row = solve_ensemble(spec, C15, workers=2)
