@@ -7,12 +7,12 @@ each step applies (2/dt)*M - S and back-solves, so the two methods
 discretize the identical operator.  The marches price the put problems
 only: the payoff is the initial data, the 1D ends hold K*exp(-r*t) at
 x = 0 and 0 at x = L, and the 2D edges are ``EdgeSpec()``'s (zero flux at
-the axes, 0 at the far edges).  The Dirichlet rows (and, in 2D, their
-columns) are eliminated in the pencil; each step pins the boundary
-values.  In 1D the factor is LAPACK's tridiagonal LU
-(``dgttrf``/``dgttrs``).  Both 2D LUs, the step matrix and the
-projection, come from ``fem2d.factor`` in the pencil's nested-dissection
-order, as the Laplace nodes' do.
+the axes, 0 at the far edges).  In 1D the Dirichlet rows are eliminated
+in the pencil, and each step pins the end values; the factor is LAPACK's
+tridiagonal LU (``dgttrf``/``dgttrs``).  In 2D the march runs in the
+pencil's own unknowns, which leave out the far-edge nodes, and returns
+``expand`` of the result; both LUs, the step matrix and the projection,
+come from ``fem2d.factor``, as the Laplace nodes' do.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse import csc_matrix
 
 from . import fem1d, fem2d
 
@@ -66,18 +65,11 @@ def march2d(mesh, basket, config):
     """Crank-Nicolson for the basket put on the triangulated grid."""
     p = fem2d.pencil(mesh, basket, fem2d.EdgeSpec())
     dt = basket.maturity / config.steps
-    lu = fem2d.factor(p.S + (2.0 / dt) * p.M, p.order)
+    lu = fem2d.factor(p.S + (2.0 / dt) * p.M)
     rhs_op = ((2.0 / dt) * p.M - p.S).tocsr()
 
     # L2-projected initial data, matching the 1D march
-    n = mesh.n_nodes
-    ones = np.ones(len(p.fixed))
-    b = p.load.copy()
-    b[p.fixed] = 0.0
-    proj = p.M + csc_matrix((ones, (p.fixed, p.fixed)), shape=(n, n))
-    u = fem2d.factor(proj, p.order).solve(b)
+    u = fem2d.factor(p.M).solve(p.load)
     for _ in range(config.steps):
-        b = rhs_op @ u
-        b[p.fixed] = 0.0
-        u = lu.solve(b)
-    return u
+        u = lu.solve(rhs_op @ u)
+    return p.expand @ u

@@ -134,15 +134,15 @@ def _load_vector(mesh, u0, kink=None):
 class Pencil:
     """The systems of one problem along z: A(z) = S + z*M + sum_k c_k(z)*B_k.
 
-    Built once per problem with the Dirichlet rows eliminated (identity
-    rows in S, zero rows in M and in each B_k), so a node costs one axpy
-    plus the right-hand-side pins: ``values(z)`` at the ``fixed`` rows,
-    ``load`` elsewhere.  The matrices are (3, n) bands in ``solve_banded``
-    layout (1D) or CSC (2D).  In 2D every Dirichlet value is 0, so the
-    Dirichlet columns are eliminated too: the matrices are structurally
-    symmetric, and ``fem2d.factor`` runs the LU in ``order``, the grid's
-    nested-dissection order (1D leaves it unset).  Crank-Nicolson steps
-    with S + (2/dt)*M.
+    Built once per problem, so a node costs one axpy plus the
+    right-hand-side pins: ``values(z)`` at the ``fixed`` rows, ``load``
+    elsewhere.  In 1D the matrices are (3, n) bands in ``solve_banded``
+    layout over the nodes, with the Dirichlet rows eliminated (identity
+    rows in S, zero rows in M and in each B_k).  In 2D every Dirichlet
+    value is 0, so they are CSC over the pencil's own unknowns, the other
+    nodes in nested-dissection order, and nothing is pinned; ``expand``
+    maps a solution back to the nodes (1D leaves it unset).
+    Crank-Nicolson steps with S + (2/dt)*M.
     """
 
     S: object
@@ -151,7 +151,7 @@ class Pencil:
     fixed: np.ndarray
     values: Callable[[complex], object]
     robin: tuple = ()   # (c_k, B_k) pairs
-    order: np.ndarray = None   # 2D: the node order of every LU
+    expand: object = None   # 2D: nodes x unknowns, one 1 per column
 
     def at(self, z):
         """(A(z), rhs) at one shift z, as ``solve`` takes it."""
@@ -225,15 +225,16 @@ def pencil(mesh, market, right_bc="dirichlet0"):
 
 def solve(system):
     """Direct banded solve of ``Pencil.at(z)``'s (bands, rhs), with a
-    residual guard; returns the nodal values."""
+    residual guard that a non-finite solution or residual also trips
+    (RuntimeError); returns the nodal values."""
     bands, rhs = system
     sol = solve_banded((1, 1), bands, rhs)
-    res = _residual(bands, sol) - rhs
+    if not np.isfinite(sol).all():
+        raise RuntimeError("banded solve gave a non-finite solution")
+    res = np.linalg.norm(_residual(bands, sol) - rhs)
     scale = np.linalg.norm(bands) * np.linalg.norm(sol) + np.linalg.norm(rhs)
-    if np.linalg.norm(res) > 1e-12 * max(scale, 1.0):
-        raise RuntimeError(
-            f"banded solve residual too large: {np.linalg.norm(res):g}"
-        )
+    if not (math.isfinite(res) and res <= 1e-12 * max(scale, 1.0)):
+        raise RuntimeError(f"banded solve residual too large: {res:g}")
     return sol
 
 

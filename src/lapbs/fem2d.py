@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, diags
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from .fem1d import (RIGHT_BCS, Pencil, _require_count, _require_positive,
@@ -198,34 +198,31 @@ def _edge_mass(indices, h, n):
 
 def pencil(mesh, basket, edges):
     """The basket's :class:`~lapbs.fem1d.Pencil`, in CSC, loaded with the
-    put-on-maximum payoff: on each far edge either 0 ("dirichlet0", its
-    nodes in ``fixed``) or the transparent Robin term ("transparent").
-    Its ``order`` is the mesh's ``nested_dissection``, built here, before
-    any worker forks, for every ``factor`` of the pencil."""
+    put-on-maximum payoff: on each far edge either 0 ("dirichlet0") or the
+    transparent Robin term ("transparent").  Its unknowns are the nodes
+    not held at 0, in the mesh's ``nested_dissection`` order, built here
+    before any worker forks; ``expand`` (nodes x unknowns, one 1 per
+    column) maps them back to the nodes, and the pencil is expand^T S
+    expand, expand^T M expand, expand^T B_k expand with load expand^T b."""
     u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
     spatial, mass, load = build_matrices(mesh, basket, u0)
     n = mesh.n_nodes
     nodes = _far_nodes(mesh)
-    pinned = np.zeros(n, dtype=bool)
+    free = np.ones(n, dtype=bool)
     for edge, idx in nodes.items():
-        pinned[idx] |= getattr(edges, edge) == "dirichlet0"
-    fixed = np.flatnonzero(pinned)
-    # free @ X @ free drops the Dirichlet rows and columns from the
-    # structure.  Dropping the columns is exact because every Dirichlet
-    # value is 0, and it leaves each Dirichlet node a pure identity row and
-    # column, so the matrix is structurally symmetric and partial pivoting
-    # keeps the diagonal that a symmetric ordering in `factor` chose.
-    free = diags((~pinned).astype(float))
+        free[idx] &= getattr(edges, edge) != "dirichlet0"
+    nd = nested_dissection(mesh.m1, mesh.m2)
+    unknowns = nd[free[nd]]
+    k = len(unknowns)
+    expand = csc_matrix((np.ones(k), (unknowns, np.arange(k))), shape=(n, k))
+    restrict = lambda x: (expand.T @ x @ expand).tocsc()
     robin = tuple(
-        (_robin_term(basket.r, a, L),
-         (free @ _edge_mass(nodes[edge], h, n) @ free).tocsc())
+        (_robin_term(basket.r, a, L), restrict(_edge_mass(nodes[edge], h, n)))
         for edge, a, L, h in (("x1_far", basket.a11, basket.L1, mesh.h2),
                               ("x2_far", basket.a22, basket.L2, mesh.h1))
         if getattr(edges, edge) == "transparent")
-    identity = csc_matrix((np.ones(len(fixed)), (fixed, fixed)), shape=(n, n))
-    return Pencil((free @ spatial @ free).tocsc() + identity,
-                  (free @ mass @ free).tocsc(), load, fixed, lambda z: 0.0,
-                  robin, nested_dissection(mesh.m1, mesh.m2))
+    return Pencil(restrict(spatial), restrict(mass), expand.T @ load,
+                  np.empty(0, dtype=int), lambda z: 0.0, robin, expand)
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,39 +248,19 @@ def nested_dissection(m1, m2):
     return order
 
 
-@dataclass(frozen=True)
-class _OrderedLU:
-    """The SuperLU of ``a[order][:, order]`` (its L, U, perm_r, ... pass
-    through) whose ``solve`` takes and returns natural node order."""
-
-    lu: object
-    order: np.ndarray
-
-    def __getattr__(self, name):
-        return getattr(self.lu, name)
-
-    def solve(self, b):
-        y = self.lu.solve(b[self.order])
-        x = np.empty_like(y)
-        x[self.order] = y
-        return x
+def factor(a):
+    """Sparse LU of a pencil at one shift, a CSC matrix in the pencil's
+    unknowns: they are in nested-dissection order and the matrix is
+    structurally symmetric, so the LU takes no further column ordering
+    and symmetric mode keeps every diagonal pivot."""
+    return splu(a, permc_spec="NATURAL", options={"SymmetricMode": True})
 
 
-def factor(a, order):
-    """Sparse LU of a structurally symmetric CSC matrix (a pencil at one
-    shift) in the pencil's nested-dissection ``order``: the symmetric
-    permutation, factored with no further column ordering, keeps every
-    diagonal pivot."""
-    return _OrderedLU(splu(a[order][:, order], permc_spec="NATURAL",
-                           options={"SymmetricMode": True}), order)
-
-
-def solve2d(system, order):
-    """Direct sparse solve of ``Pencil.at(z)``'s (matrix, rhs), factored
-    in the pencil's ``order``, with a relative residual guard."""
+def solve2d(system):
+    """Direct sparse solve of ``Pencil.at(z)``'s (matrix, rhs), in the
+    pencil's unknowns, with a relative residual guard."""
     a, rhs = system
-    lu = factor(a, order)
-    sol = lu.solve(rhs)
+    sol = factor(a).solve(rhs)
     res = np.linalg.norm(a @ sol - rhs)
     scale = np.linalg.norm(rhs)
     if not math.isfinite(res):
@@ -294,8 +271,7 @@ def solve2d(system, order):
 
 
 def solve_shifts(pencil, zs):
-    """``solve2d(pencil.at(z), pencil.order)`` for each z in ``zs``, from
-    one LU.
+    """``solve2d(pencil.at(z))`` for each z in ``zs``, from one LU.
 
     b does not depend on z (2D Dirichlet data are 0), so with A(z0) factored
     at the middle shift z0, GMRES solves (I + D*A(z0)^-1)*y = b for the other
@@ -310,7 +286,7 @@ def solve_shifts(pencil, zs):
     a0, b = pencil.at(z0)
     beta = np.linalg.norm(b)
     if not beta > 0:
-        return [solve2d(pencil.at(z), pencil.order) for z in zs]
+        return [solve2d(pencil.at(z)) for z in zs]
     rows, reached = [None] * len(zs), [math.inf] * len(zs)
 
     def keep(k, x):
@@ -321,7 +297,7 @@ def solve_shifts(pencil, zs):
         if reached[k] <= _RESIDUAL_TOL:
             rows[k] = x
 
-    lu = factor(a0, pencil.order)
+    lu = factor(a0)
     direct = lu.solve(b)
     keep(anchor, direct)
     families = ([(sum(((c(z) - c(z0)) * bk for c, bk in pencil.robin),
@@ -355,7 +331,7 @@ def solve_shifts(pencil, zs):
         for k in [k for k in shifts if rows[k] is None]:
             _LOG.warning("shift z=%s reached relative residual %.3g in %d "
                          "Krylov steps; solved directly", zs[k], reached[k], m)
-            rows[k] = solve2d(pencil.at(zs[k]), pencil.order)
+            rows[k] = solve2d(pencil.at(zs[k]))
     return rows
 
 

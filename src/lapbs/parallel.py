@@ -3,12 +3,13 @@
 Each contour node is a solve at one shift z of the problem's pencil.
 The N nodes are split into four contiguous groups (4, 4, 4, 3 for
 N = 15), fixed by the contour alone; a 2D group, Dirichlet or
-transparent, is solved with one LU and Krylov (``fem2d.solve_shifts``),
-a 1D group node by node.  Workers share nothing but the read-only pencil,
-inherited through the fork.  The pool's ordered ``map`` deals the
-groups out in contiguous chunks, one worker per chunk, and returns the
-rows in node order, so the ensemble is bit-identical for any worker
-count.  A pool that loses a worker is rebuilt once; the first error a
+transparent, is solved with one LU and Krylov (``fem2d.solve_shifts``)
+in the pencil's unknowns, and each of its rows leaves the group as
+``pencil.expand @ x``, over the nodes; a 1D group is solved node by
+node.  Workers share nothing but the read-only pencil, inherited
+through the fork.  The pool's ordered ``map`` deals the groups out in
+contiguous chunks, one worker per chunk, and returns the rows in node
+order, so the ensemble is bit-identical for any worker count.  A pool that loses a worker is rebuilt once; the first error a
 node raises propagates, and the rest of its chunk is not run.
 
 The nodes are solved with one BLAS thread per process.  numpy's and
@@ -157,7 +158,7 @@ def _solve_group(zs):
     pencil = _WORKER_STATE["pencil"]
     if _WORKER_STATE["spec"].kind == "put1d":
         return [fem1d.solve(pencil.at(z)) for z in zs]
-    return fem2d.solve_shifts(pencil, zs)
+    return [pencil.expand @ x for x in fem2d.solve_shifts(pencil, zs)]
 
 
 def _run_pool(groups, chunk, processes):

@@ -1,7 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from lapbs import cn, fem1d, fem2d
@@ -90,27 +91,49 @@ class TestMarch1D:
 
 
 class TestMarch2D:
-    def test_matches_default_splu_march(self):
-        # the symmetric ordering changes only the rounding of each solve
-        mesh = fem2d.Mesh2D(300.0, 300.0, 32, 32)
+    @staticmethod
+    def check_against_natural_order_march(mesh):
+        # the reference runs in natural node order on the far-edge nodes'
+        # complement, apart from the pencil, so this checks its node map
+        # as well as the ordered LU, which changes only the rounding
+        basket = replace(BASKET, L1=mesh.L1, L2=mesh.L2)
         config = cn.MarchConfig(20)
-        p = fem2d.pencil(mesh, BASKET, fem2d.EdgeSpec())
-        dt = BASKET.maturity / config.steps
-        lu = splu(p.S + (2.0 / dt) * p.M)
-        rhs_op = (2.0 / dt) * p.M - p.S
-        n = mesh.n_nodes
-        pins = csc_matrix((np.ones(len(p.fixed)), (p.fixed, p.fixed)),
-                          shape=(n, n))
-        b = p.load.copy()
-        b[p.fixed] = 0.0
-        want = splu(p.M + pins).solve(b)
+        dt = basket.maturity / config.steps
+        spatial, mass, load = fem2d.build_matrices(
+            mesh, basket,
+            lambda x1, x2: fem2d.payoff_basket_maxput(x1, x2, basket.strike))
+        far = (mesh.x1g.ravel() == mesh.L1) | (mesh.x2g.ravel() == mesh.L2)
+        keep = np.flatnonzero(~far)
+        restrict = lambda x: x[keep][:, keep].tocsc()
+        lu = splu(restrict(spatial + (2.0 / dt) * mass))
+        rhs_op = restrict((2.0 / dt) * mass - spatial)
+        u = splu(restrict(mass)).solve(load[keep])
         for _ in range(config.steps):
-            b = rhs_op @ want
-            b[p.fixed] = 0.0
-            want = lu.solve(b)
-        got = cn.march2d(mesh, BASKET, config)
+            u = lu.solve(rhs_op @ u)
+        want = np.zeros(mesh.n_nodes)
+        want[keep] = u
+        got = cn.march2d(mesh, basket, config)
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
+
+    def test_matches_default_splu_march(self):
+        self.check_against_natural_order_march(
+            fem2d.Mesh2D(300.0, 300.0, 32, 32))
+
+    def test_matches_default_splu_march_non_square(self):
+        self.check_against_natural_order_march(
+            fem2d.Mesh2D(300.0, 150.0, 24, 12))
+
+    def test_mirrored_basket_gives_the_transposed_field(self):
+        # a11 != a22: swapping them mirrors the problem across x1 = x2
+        mesh = fem2d.Mesh2D(300.0, 300.0, 24, 24)
+        basket = replace(BASKET, a11=0.09, a22=0.04)
+        u = cn.march2d(mesh, basket, cn.MarchConfig(20)).reshape(25, 25)
+        v = cn.march2d(mesh, replace(basket, a11=0.04, a22=0.09),
+                       cn.MarchConfig(20)).reshape(25, 25)
+        assert np.max(np.abs(u - u.T)) > 1.0
+        np.testing.assert_allclose(v, u.T, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(u)))
 
     def test_swap_symmetry(self):
         mesh = fem2d.Mesh2D(300.0, 300.0, 16, 16)

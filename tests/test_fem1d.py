@@ -235,6 +235,15 @@ class TestSolve:
         with pytest.raises(Exception):
             solve((bands, np.ones(4, dtype=complex)))
 
+    def test_non_finite_solution_raises(self):
+        # the LU overflows to [nan, inf, inf]; a NaN residual compares
+        # False, so the guard must test the solution itself
+        bands = np.array([[0.0, 1e-200, 1e-200],
+                          [1e-200, 1e-300, 1e-200],
+                          [1e-200, 1e-200, 0.0]])
+        with pytest.raises(RuntimeError, match="non-finite solution"):
+            solve((bands, 1e200 * np.ones(3)))
+
 
 class TestFormProperties:
     def setup_method(self):

@@ -126,10 +126,21 @@ class TestBuildMatrices:
         assert abs(d).max() < 1e-12
 
 
+def held_at_zero(p):
+    """The nodes that are no unknown of the pencil: zero rows of expand."""
+    return np.flatnonzero(p.expand.toarray().sum(axis=1) == 0)
+
+
+def full(p, z):
+    """expand A(z) expand^T over the nodes, natural order."""
+    a, _ = p.at(z)
+    return (p.expand @ a @ p.expand.T).toarray()
+
+
 class TestBoundaryHandling:
     def test_dirichlet_nodes_default_edges(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
-        idx = pencil(mesh, BASKET, EdgeSpec()).fixed
+        idx = held_at_zero(pencil(mesh, BASKET, EdgeSpec()))
         # far edges only: column i=4 and row j=4, 9 distinct nodes
         assert len(idx) == 9
         assert set(idx) == {4, 9, 14, 19, 20, 21, 22, 23, 24}
@@ -137,7 +148,9 @@ class TestBoundaryHandling:
     def test_no_dirichlet_when_transparent(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         edges = EdgeSpec(x1_far="transparent", x2_far="transparent")
-        assert len(pencil(mesh, BASKET, edges).fixed) == 0
+        p = pencil(mesh, BASKET, edges)
+        assert len(held_at_zero(p)) == 0
+        assert p.expand.shape == (25, 25)
 
     def test_edge_mass_row_sum(self):
         idx = np.array([2, 5, 8])
@@ -147,28 +160,22 @@ class TestBoundaryHandling:
     def test_transparent_modifies_only_far_edge_rows(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         z = 2.0 + 1.0j
-        a_d, _ = pencil(mesh, BASKET, EdgeSpec(x2_far="dirichlet0",
-                                               x1_far="transparent")).at(z)
-        a_t, _ = pencil(mesh, BASKET, EdgeSpec(x2_far="dirichlet0",
-                                               x1_far="dirichlet0")).at(z)
-        diff = (a_d - a_t).tocoo()
-        diff.eliminate_zeros()
+        a_d = full(pencil(mesh, BASKET, EdgeSpec(x2_far="dirichlet0",
+                                                 x1_far="transparent")), z)
+        a_t = full(pencil(mesh, BASKET, EdgeSpec(x2_far="dirichlet0",
+                                                 x1_far="dirichlet0")), z)
+        row, col = np.nonzero(a_d - a_t)
         # switching the edge to Dirichlet drops its rows and its columns
         far = np.arange(5) * 5 + 4
-        assert np.all(np.isin(diff.row, far) | np.isin(diff.col, far))
+        assert len(row) > 0
+        assert np.all(np.isin(row, far) | np.isin(col, far))
 
-    def test_dirichlet_rows_are_identity(self):
+    def test_dirichlet_nodes_hold_zero(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         p = pencil(mesh, BASKET, EdgeSpec())
-        a, rhs = p.at(1.0)
-        idx = p.fixed
-        dense = a.toarray()
-        for i in idx:
-            row = dense[i].copy()
-            assert row[i] == 1.0
-            row[i] = 0.0
-            assert np.all(row == 0.0)
-            assert rhs[i] == 0.0
+        u = p.expand @ solve2d(p.at(1.0))
+        assert np.all(u[held_at_zero(p)] == 0.0)
+        assert np.all(np.delete(u, held_at_zero(p)) != 0.0)
 
 
 class TestPencil:
@@ -177,38 +184,30 @@ class TestPencil:
         EdgeSpec(x1_far="transparent", x2_far="transparent"),
         EdgeSpec(x1_far="transparent"),
     ], ids=["dirichlet", "transparent", "mixed"])
-    def test_at_is_shifted_pencil_with_identity_dirichlet_rows(self, edges):
+    def test_at_is_the_shifted_pencil_in_its_unknowns(self, edges):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         z = 2.0 + 1.0j
         spatial, mass, load = build_matrices(mesh, BASKET, payoff)
-        want = (spatial + z * mass).toarray()
+        want = spatial + z * mass
         far1 = np.arange(5) * 5 + 4
         far2 = 20 + np.arange(5)
         for cond, a, idx, h in ((edges.x1_far, BASKET.a11, far1, mesh.h2),
                                 (edges.x2_far, BASKET.a22, far2, mesh.h1)):
             if cond == "transparent":
                 c = robin_coefficient(z, BASKET.r, np.sqrt(a), 300.0)
-                want -= 0.5 * a * 300.0**2 * c * _edge_mass(
-                    idx, h, mesh.n_nodes).toarray()
+                want = want - 0.5 * a * 300.0**2 * c * _edge_mass(
+                    idx, h, mesh.n_nodes)
 
         p = pencil(mesh, BASKET, edges)
         a, rhs = p.at(z)
-        got = a.toarray()
-        fixed = p.fixed
-        free = np.setdiff1d(np.arange(mesh.n_nodes), fixed)
-        np.testing.assert_allclose(got[np.ix_(free, free)],
-                                   want[np.ix_(free, free)], rtol=1e-14)
-        assert np.all(got[np.ix_(free, fixed)] == 0.0)
-        np.testing.assert_array_equal(rhs[free], load[free])
-        np.testing.assert_array_equal(got[fixed], np.eye(25)[fixed])
-        assert np.all(rhs[fixed] == 0.0)
-        # eliminated up front: M and every B_k carry no Dirichlet row or
-        # column, and S carries only the identity there
-        for mat in (p.M, *(b for _, b in p.robin)):
-            assert mat.tocsr()[fixed].nnz == 0
-            assert mat.tocsc()[:, fixed].nnz == 0
-        np.testing.assert_array_equal(p.S.toarray()[:, fixed],
-                                      np.eye(25)[:, fixed])
+        e = p.expand
+        np.testing.assert_allclose(a.toarray(), (e.T @ want @ e).toarray(),
+                                   rtol=1e-14)
+        np.testing.assert_array_equal(rhs, e.T @ load)
+        # one 1 per column; each node is at most one unknown
+        assert np.all(e.data == 1.0)
+        assert np.all(np.diff(e.indptr) == 1)
+        assert np.all(e.toarray().sum(axis=1) <= 1)
 
 
 FACTOR_EDGES = pytest.mark.parametrize("edges", [
@@ -221,15 +220,16 @@ NON_SQUARE = (Mesh2D(300.0, 150.0, 24, 12), replace(BASKET, L2=150.0))
 
 
 class TestFactor:
-    """Symmetric elimination keeps every diagonal pivot, so the
-    nested-dissection ordering survives partial pivoting."""
+    """A pencil's unknowns are in nested-dissection order and its matrices
+    structurally symmetric, so the symmetric-mode LU keeps every diagonal
+    pivot and the ordering survives partial pivoting."""
 
     @pytest.mark.parametrize("z", [2.0, 2.0 + 1.0j, -8.35 + 12.39j])
     @FACTOR_EDGES
     def test_diagonal_pivots_and_less_fill(self, edges, z):
         mesh = Mesh2D(300.0, 300.0, 32, 32)
         a, _ = pencil(mesh, BASKET, edges).at(z)
-        lu = factor(a, nested_dissection(32, 32))
+        lu = factor(a)
         default = splu(a)
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
         nnz = lu.L.nnz + lu.U.nnz
@@ -243,7 +243,7 @@ class TestFactor:
         p = pencil(*grid, edges)
         a, rhs = p.at(-8.35 + 12.39j)
         want = spsolve(a, rhs)
-        got = solve2d((a, rhs), p.order)
+        got = solve2d((a, rhs))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -279,13 +279,17 @@ class TestNestedDissection:
             order[0] = 1
 
     def test_pencil_carries_the_order(self):
+        # the unknowns are the free nodes in the grid's order
         p = pencil(*NON_SQUARE, EdgeSpec())
-        assert p.order is nested_dissection(24, 12)
+        nd = nested_dissection(24, 12)
+        free = np.isin(nd, held_at_zero(p), invert=True)
+        e = p.expand.tocoo()
+        np.testing.assert_array_equal(e.row[np.argsort(e.col)], nd[free])
 
     def test_no_more_fill_than_minimum_degree_at_128(self):
         p = pencil(Mesh2D(300.0, 300.0, 128, 128), BASKET, EdgeSpec())
         a, _ = p.at(quadrature_nodes(EX3_CONTOUR)[0][7])
-        nd = factor(a, p.order)
+        nd = factor(a)
         mmd = splu(a, permc_spec="MMD_AT_PLUS_A",
                    options={"SymmetricMode": True})
         assert nd.L.nnz + nd.U.nnz <= mmd.L.nnz + mmd.U.nnz
@@ -296,27 +300,27 @@ class TestSolve2D:
         mesh = Mesh2D(300.0, 300.0, 12, 12)
         z = 3.9 + 33.0j
         p = pencil(mesh, BASKET, EdgeSpec())
-        u = solve2d(p.at(z), p.order)
-        v = solve2d(p.at(np.conj(z)), p.order)
+        u = p.expand @ solve2d(p.at(z))
+        v = p.expand @ solve2d(p.at(np.conj(z)))
         np.testing.assert_allclose(v, np.conj(u), rtol=1e-12, atol=1e-14)
 
     def test_zero_data_gives_zero(self):
         mesh = Mesh2D(300.0, 300.0, 8, 8)
         p = pencil(mesh, BASKET, EdgeSpec())
         sys = replace(p, load=np.zeros_like(p.load)).at(2.0)
-        np.testing.assert_allclose(solve2d(sys, p.order), 0.0, atol=1e-14)
+        np.testing.assert_allclose(solve2d(sys), 0.0, atol=1e-14)
 
     def test_nan_rhs_raises(self):
         mesh = Mesh2D(300.0, 300.0, 8, 8)
         a, rhs = pencil(mesh, BASKET, EdgeSpec()).at(2.0)
         rhs[40] = np.nan
         with pytest.raises(RuntimeError, match="residual is nan"):
-            solve2d((a, rhs), nested_dissection(8, 8))
+            solve2d((a, rhs))
 
     def test_real_z_real_payoff_gives_real_positive_field(self):
         mesh = Mesh2D(300.0, 300.0, 16, 16)
         p = pencil(mesh, BASKET, EdgeSpec())
-        u = solve2d(p.at(2.0), p.order)
+        u = p.expand @ solve2d(p.at(2.0))
         assert np.max(np.abs(u.imag)) < 1e-14
         assert u.real.min() > -1e-10
 
@@ -324,7 +328,7 @@ class TestSolve2D:
         # a11 = a22 and symmetric payoff: u(x1, x2) = u(x2, x1)
         mesh = Mesh2D(300.0, 300.0, 16, 16)
         p = pencil(mesh, BASKET, EdgeSpec())
-        u = solve2d(p.at(2.0), p.order).real
+        u = (p.expand @ solve2d(p.at(2.0))).real
         grid = u.reshape(17, 17)
         np.testing.assert_allclose(grid, grid.T, rtol=1e-10, atol=1e-12)
 
@@ -358,7 +362,7 @@ class TestSolveShifts:
             for zs in self.GROUPS:
                 for z, x in zip(zs, solve_shifts(p, zs)):
                     a, b = p.at(z)
-                    want = solve2d((a, b), p.order)
+                    want = solve2d((a, b))
                     assert (np.linalg.norm(x - want)
                             <= 1e-9 * np.linalg.norm(want))
                     res = p.S @ x + z * (p.M @ x) - b
@@ -378,7 +382,7 @@ class TestSolveShifts:
                 with caplog.at_level(logging.WARNING, "lapbs.fem2d"):
                     rows = solve_shifts(p, zs)
                 for z, x in zip(zs, rows):
-                    assert np.array_equal(x, solve2d(p.at(z), p.order))
+                    assert np.array_equal(x, solve2d(p.at(z)))
                 anchor = len(zs) // 2
                 fell_back = zs[:anchor] + zs[anchor + 1:]
                 assert len(caplog.records) == len(fell_back)

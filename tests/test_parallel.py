@@ -92,6 +92,24 @@ class TestSolveEnsemble:
                 ens, _ = solve_ensemble(spec, EX3_CONTOUR, workers=w)
                 assert np.array_equal(ens.values, base.values)
 
+    @pytest.mark.parametrize("edges", [
+        fem2d.EdgeSpec(), fem2d.EdgeSpec(x1_far="transparent"),
+    ], ids=["dirichlet", "mixed"])
+    def test_mirrored_basket_gives_the_transposed_field(self, edges):
+        # a11 != a22: swapping them, and the far edges, mirrors the
+        # problem across x1 = x2
+        basket = replace(BASKET, a11=0.09, a22=0.04)
+        mirror = replace(basket, a11=0.04, a22=0.09)
+        swapped = fem2d.EdgeSpec(x1_far=edges.x2_far, x2_far=edges.x1_far)
+        u, v = (invert_at(solve_ensemble(ProblemSpec("basket2d", b, 24,
+                                                     edges=e),
+                                         EX3_CONTOUR)[0], 1.0)
+                .reshape(25, 25) for b, e in ((basket, edges),
+                                              (mirror, swapped)))
+        assert np.max(np.abs(u - u.T)) > 1.0
+        np.testing.assert_allclose(v, u.T, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(u)))
+
     @pytest.mark.parametrize("edges", EDGES, ids=["dirichlet", "transparent"])
     def test_grouped_2d_real_node_inverts_at_late_times(self, edges):
         # node 0 is a real shift solved inside a group anchored at node 2;
