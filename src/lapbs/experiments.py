@@ -119,10 +119,12 @@ def load_config(path=None, example=None):
 
 
 def _prepare_run(cfg, contours, mu_val, reference=False):
-    """Check the worker counts, that Table 8's sweep starts at 1 (its
-    speedup baseline) and that every contour clears its kappa bound, load
-    the Example-3 reference if asked, then make the output directory: a
-    bad config writes nothing.  Returns the reference."""
+    """Check that there are meshes, the worker counts, that Table 8's
+    sweep starts at 1 (its speedup baseline) and that every contour clears
+    its kappa bound, load the Example-3 reference if asked, then make the
+    output directory: a bad config writes nothing.  Returns the reference."""
+    if not cfg.meshes:
+        raise ValueError("meshes must name at least one mesh size")
     for w in (cfg.workers, *cfg.worker_sweep):
         fem1d._require_count("worker counts", w, 1, "worker")
     if not cfg.worker_sweep or cfg.worker_sweep[0] != 1:
@@ -137,11 +139,10 @@ def _prepare_run(cfg, contours, mu_val, reference=False):
     return loaded
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        for row in rows:
-            f.write(",".join(row) + "\r\n")
+def _write_csv(cfg, name, header, rows):
+    with open(os.path.join(cfg.out, name), "w", newline="") as f:
+        for row in (header, *rows):
+            f.write(",".join(map(str, row)) + "\r\n")
 
 
 def _fmt_err(e):
@@ -149,7 +150,7 @@ def _fmt_err(e):
 
 
 def _fmt_rate(r):
-    return "" if r is None or np.isnan(r) else f"{r:.3f}"
+    return "" if np.isnan(r) else f"{r:.3f}"
 
 
 def _rates(errors):
@@ -181,13 +182,10 @@ def _sweep(cfg, jobs, error):
 
 def _error_table(cfg, name, first, error_name, rows):
     """CSV of (first column, space meshes, mesh size, error, rate) rows."""
-    _write_csv(
-        os.path.join(cfg.out, name),
-        [first, "Number of space meshes", "Mesh size", error_name,
-         "Reduction rate"],
-        [(str(a), str(m), f"{h:g}", _fmt_err(e), _fmt_rate(r))
-         for a, m, h, e, r in rows],
-    )
+    _write_csv(cfg, name, [first, "Number of space meshes", "Mesh size",
+                           error_name, "Reduction rate"],
+               [(a, m, f"{h:g}", _fmt_err(e), _fmt_rate(r))
+                for a, m, h, e, r in rows])
 
 
 def run_example1(cfg):
@@ -215,14 +213,12 @@ def run_example1(cfg):
     m_fine = 2560
     spec = ProblemSpec("put1d", market, m_fine)
     t3, _ = _sweep(cfg, [(spec, c) for c in cfg.contours], error)
-    _write_csv(
-        os.path.join(cfg.out, "table3.csv"),
-        ["Number of z", "Number of space meshes", "L2-Error",
-         "Reduction rate", "gamma", "nu", "s", "tau"],
-        [(str(c.n), str(m_fine), _fmt_err(e), _fmt_rate(r), f"{c.gamma:g}",
-          f"{c.nu:g}", f"{c.s:g}", f"{c.tau:g}")
-         for c, (_, e, r, _) in zip(cfg.contours, t3)],
-    )
+    _write_csv(cfg, "table3.csv",
+               ["Number of z", "Number of space meshes", "L2-Error",
+                "Reduction rate", "gamma", "nu", "s", "tau"],
+               [(c.n, m_fine, _fmt_err(e), _fmt_rate(r), f"{c.gamma:g}",
+                 f"{c.nu:g}", f"{c.s:g}", f"{c.tau:g}")
+                for c, (_, e, r, _) in zip(cfg.contours, t3)])
 
     report = {
         "example": "ex1",
@@ -287,8 +283,7 @@ def reference_solution(cfg, rebuild=False):
                 raise ValueError(f"reference cache {path} was built for "
                                  f"other basket data: {wrong} differ")
             return data["values"], mesh
-    basket = fem2d.Basket2D(cfg.r, cfg.a11, cfg.a22, cfg.a12,
-                            cfg.basket_strike, cfg.maturity, 600.0, 600.0)
+    basket = replace(cfg.basket(), L1=600.0, L2=600.0)
     steps = int(round(cfg.maturity / 0.02))
     values = cn.march2d(mesh, basket, cn.MarchConfig(steps))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -325,39 +320,27 @@ def run_example3(cfg):
     # Table 7: boundary-condition comparison on [0,150]^2
     basket150 = replace(basket, L1=150.0, L2=150.0)
     meshes7 = [m for m in cfg.meshes if m <= 64]
-    t7d, _ = _sweep(cfg, _jobs("basket2d", basket150, meshes7, EX3_CONTOUR),
-                    error)
-    t7t, _ = _sweep(cfg, _jobs(
-        "basket2d", basket150, meshes7, EX3_CONTOUR,
-        edges=fem2d.EdgeSpec(x1_far="transparent", x2_far="transparent")),
-        error)
+    t7d, t7t = (_sweep(cfg, _jobs("basket2d", basket150, meshes7,
+                                  EX3_CONTOUR, edges=fem2d.EdgeSpec(bc, bc)),
+                       error)[0] for bc in fem1d.RIGHT_BCS)
     t7 = [(mesh, ed, et) for (mesh, ed, _, _), (_, et, _, _)
           in zip(t7d, t7t)]
-    _write_csv(
-        os.path.join(cfg.out, "table7.csv"),
-        ["Number of z", "Number of space meshes", "Mesh size",
-         "Relative error in L2 (Dirichlet)",
-         "Relative error in L2 (Transparent)"],
-        [(str(EX3_CONTOUR.n), f"{mesh.m1}x{mesh.m2}", f"{mesh.h1:g}",
-          _fmt_err(ed), _fmt_err(et)) for mesh, ed, et in t7],
-    )
+    _write_csv(cfg, "table7.csv",
+               ["Number of z", "Number of space meshes", "Mesh size",
+                "Relative error in L2 (Dirichlet)",
+                "Relative error in L2 (Transparent)"],
+               [(EX3_CONTOUR.n, f"{mesh.m1}x{mesh.m2}", f"{mesh.h1:g}",
+                 _fmt_err(ed), _fmt_err(et)) for mesh, ed, et in t7])
 
-    # Table 8: parallel speedup on the 128x128 workload
+    # Table 8: parallel speedup on the 128x128 workload, against the
+    # sweep's first (1-worker) entry
     spec = ProblemSpec("basket2d", basket, 128)
-    t8 = []
-    baseline = None
-    for w in cfg.worker_sweep:
-        _, row = solve_ensemble(spec, EX3_CONTOUR, workers=w,
-                                baseline_time=baseline)
-        if w == 1:
-            baseline = row.wall_time
-        t8.append(row)
-    _write_csv(
-        os.path.join(cfg.out, "table8.csv"),
-        ["Number of CPUs", "Time(sec)", "Speedup"],
-        [(str(r.workers), f"{r.wall_time:.3f}", f"{r.speedup:.2f}")
-         for r in t8],
-    )
+    t8 = [solve_ensemble(spec, EX3_CONTOUR, workers=w)[1]
+          for w in cfg.worker_sweep]
+    speedups = [t8[0].wall_time / r.wall_time for r in t8]
+    _write_csv(cfg, "table8.csv", ["Number of CPUs", "Time(sec)", "Speedup"],
+               [(r.workers, f"{r.wall_time:.3f}", f"{s:.2f}")
+                for r, s in zip(t8, speedups)])
 
     # Fig. 2 data: price surface at T on Table 6's finest mesh
     mesh, _, _, u = t6[-1]
@@ -374,7 +357,7 @@ def run_example3(cfg):
         "example": "ex3",
         "table6": [(mesh.m1, e, r) for mesh, e, r, _ in t6],
         "table7": [(mesh.m1, ed, et) for mesh, ed, et in t7],
-        "table8": [asdict(r) for r in t8],
+        "table8": [dict(asdict(r), speedup=s) for r, s in zip(t8, speedups)],
         "imag_residuals": res6,
     }
     _write_manifest(cfg, report)

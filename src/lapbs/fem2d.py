@@ -197,7 +197,8 @@ def _edge_mass(indices, h, n):
 
 
 def pencil(mesh, basket, edges):
-    """The basket's :class:`~lapbs.fem1d.Pencil`, in CSC, loaded with the
+    """The basket's :class:`~lapbs.fem1d.Pencil`, in CSC, on the mesh's
+    domain (the basket's L1 and L2 are not read), loaded with the
     put-on-maximum payoff: on each far edge either 0 ("dirichlet0") or the
     transparent Robin term ("transparent").  Its unknowns are the nodes
     not held at 0, in the mesh's ``nested_dissection`` order, built here
@@ -218,8 +219,8 @@ def pencil(mesh, basket, edges):
     restrict = lambda x: (expand.T @ x @ expand).tocsc()
     robin = tuple(
         (_robin_term(basket.r, a, L), restrict(_edge_mass(nodes[edge], h, n)))
-        for edge, a, L, h in (("x1_far", basket.a11, basket.L1, mesh.h2),
-                              ("x2_far", basket.a22, basket.L2, mesh.h1))
+        for edge, a, L, h in (("x1_far", basket.a11, mesh.L1, mesh.h2),
+                              ("x2_far", basket.a22, mesh.L2, mesh.h1))
         if getattr(edges, edge) == "transparent")
     return Pencil(restrict(spatial), restrict(mass), expand.T @ load,
                   np.empty(0, dtype=int), lambda z: 0.0, robin, expand)
@@ -319,7 +320,7 @@ def solve_shifts(pencil, zs):
             for k in [k for k in shifts if rows[k] is None]:
                 # (I + shift*K) V_m = V_{m+1} (I_bar + shift*H_bar)
                 hk = np.eye(m + 1, m) + shifts[k] * h[:m + 1, :m]
-                y = np.linalg.lstsq(hk, e1)[0]
+                y = np.linalg.lstsq(hk, e1, rcond=None)[0]
                 reached[k] = np.linalg.norm(hk @ y - e1) / beta
                 if reached[k] <= _RESIDUAL_TOL:
                     keep(k, y @ np.array(solved))

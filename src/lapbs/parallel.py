@@ -45,9 +45,10 @@ _LOG = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SpeedupRow:
+    """One timed ensemble; a speedup is the ratio of two rows' wall times."""
+
     workers: int   # the processes that ran: 3 asked over 4 groups run as 2
     wall_time: float
-    speedup: float
 
 
 _KINDS = {"put1d": fem1d.Market1D, "basket2d": fem2d.Basket2D}
@@ -180,14 +181,13 @@ def _run_pool(groups, chunk, processes):
             _LOG.warning("worker pool broke (%s); retrying once", err)
 
 
-def solve_ensemble(spec, contour, workers=1, baseline_time=None):
+def solve_ensemble(spec, contour, workers=1):
     """Solve the contour's nodes, fanning out over ``workers``.
 
     Returns (TransformEnsemble, SpeedupRow).  Timing covers only the
-    elliptic solves, not the pencil build or the inversion sum.
-    ``baseline_time`` is the 1-worker wall time used for the speedup
-    column; by definition speedup(1 worker) = 1.  The row's ``workers`` is
-    the number of processes that ran, one per chunk of groups.
+    elliptic solves, not the pencil build or the inversion sum.  The
+    row's ``workers`` is the number of processes that ran, one per chunk
+    of groups.
     """
     fem1d._require_count("workers", workers, 1, "worker")
     zs = quadrature_nodes(contour)[0].tolist()   # numpy's scalars round apart
@@ -207,7 +207,4 @@ def solve_ensemble(spec, contour, workers=1, baseline_time=None):
 
     ensemble = TransformEnsemble(contour,
                                  np.array([row for g in rows for row in g]))
-    speedup = 1.0 if workers == 1 else (
-        baseline_time / wall if baseline_time else float("nan"))
-    return ensemble, SpeedupRow(workers=processes, wall_time=wall,
-                                speedup=speedup)
+    return ensemble, SpeedupRow(workers=processes, wall_time=wall)

@@ -79,6 +79,21 @@ class TestConfig:
                       "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3"])
+    def test_empty_meshes_writes_nothing(self, tmp_path, monkeypatch,
+                                         example):
+        def loaded(cfg, rebuild=False):
+            raise AssertionError("reference loaded before the config check")
+
+        monkeypatch.setattr(experiments, "reference_solution", loaded)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"meshes": []}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="meshes"):
+            cli.main(["run", "--example", example, "--config", str(path),
+                      "--out", str(out)])
+        assert not out.exists()
+
     def test_contour_lookup(self):
         cfg = experiments.default_config("ex1")
         c = cfg.contour(15)
@@ -122,6 +137,28 @@ class TestExample1Harness:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["example"] == "ex1"
         assert manifest["max_imag_residual"] <= 1e-10 * 50.0
+
+
+class TestExample3Harness:
+    def test_table8_and_fig2(self, tmp_path):
+        if not os.path.exists(REFERENCE_CACHE):
+            pytest.skip("reference cache not built yet")
+        cfg = experiments.default_config("ex3")
+        cfg.reference_cache = REFERENCE_CACHE
+        cfg.meshes, cfg.worker_sweep, cfg.out = [16], [1, 2], str(tmp_path)
+        rep = experiments.run_example3(cfg)
+        lines = (tmp_path / "table8.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"Number of CPUs,Time(sec),Speedup"
+        assert lines[-1] == b""
+        rows = [line.decode().split(",") for line in lines[1:-1]]
+        t1 = rep["table8"][0]["wall_time"]
+        assert [int(w) for w, _, _ in rows] == cfg.worker_sweep
+        assert rows[0][2] == "1.00"
+        assert [s for _, _, s in rows] == [
+            f"{t1 / row['wall_time']:.2f}" for row in rep["table8"]]
+        fig2 = (tmp_path / "fig2.dat").read_text().splitlines()
+        data = [line for line in fig2 if line and not line.startswith("#")]
+        assert len(data) == 17 * 17
 
 
 class TestOracles:

@@ -209,6 +209,17 @@ class TestPencil:
         assert np.all(np.diff(e.indptr) == 1)
         assert np.all(e.toarray().sum(axis=1) <= 1)
 
+    def test_transparent_edges_sit_at_the_mesh_domain(self):
+        # the Robin terms take L from the mesh, whatever the basket says
+        mesh = Mesh2D(150.0, 150.0, 32, 32)
+        edges = EdgeSpec(x1_far="transparent", x2_far="transparent")
+        z = quadrature_nodes(EX3_CONTOUR)[0][3]
+        (a, rhs), (b, rhs_b) = (
+            pencil(mesh, basket, edges).at(z)
+            for basket in (replace(BASKET, L1=150.0, L2=150.0), BASKET))
+        assert (a != b).nnz == 0
+        np.testing.assert_array_equal(rhs, rhs_b)
+
 
 FACTOR_EDGES = pytest.mark.parametrize("edges", [
     EdgeSpec(), EdgeSpec(x1_far="transparent"),
