@@ -10,9 +10,10 @@ x = 0 and 0 at x = L, and the 2D edges are ``EdgeSpec()``'s (zero flux at
 the axes, 0 at the far edges).  In 1D the Dirichlet rows are eliminated
 in the pencil, and each step pins the end values; the factor is LAPACK's
 tridiagonal LU (``dgttrf``/``dgttrs``).  In 2D the march runs in the
-pencil's own unknowns, which leave out the far-edge nodes, and returns
-``expand`` of the result; both LUs, the step matrix and the projection,
-come from ``fem2d.factor``, as the Laplace nodes' do.
+pencil's own unknowns, which leave out the far-edge nodes and, for
+swap-symmetric data, fold each node (i, j), i < j, onto its mirror
+(j, i), and returns ``expand`` of the result; both LUs, the step matrix
+and the projection, come from ``fem2d.factor``, as the Laplace nodes' do.
 """
 
 from dataclasses import dataclass

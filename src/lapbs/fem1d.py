@@ -139,8 +139,8 @@ class Pencil:
     elsewhere.  In 1D the matrices are (3, n) bands in ``solve_banded``
     layout over the nodes, with the Dirichlet rows eliminated (identity
     rows in S, zero rows in M and in each B_k).  In 2D every Dirichlet
-    value is 0, so they are CSC over the pencil's own unknowns, the other
-    nodes in nested-dissection order, and nothing is pinned; ``expand``
+    value is 0, so they are CSC over the pencil's own unknowns, the nodes
+    it keeps in nested-dissection order, and nothing is pinned; ``expand``
     maps a solution back to the nodes (1D leaves it unset).
     Crank-Nicolson steps with S + (2/dt)*M.
     """
@@ -151,7 +151,7 @@ class Pencil:
     fixed: np.ndarray
     values: Callable[[complex], object]
     robin: tuple = ()   # (c_k, B_k) pairs
-    expand: object = None   # 2D: nodes x unknowns, one 1 per column
+    expand: object = None   # 2D: nodes x unknowns, one or two 1s a column
 
     def at(self, z):
         """(A(z), rhs) at one shift z, as ``solve`` takes it."""

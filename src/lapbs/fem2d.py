@@ -200,11 +200,14 @@ def pencil(mesh, basket, edges):
     """The basket's :class:`~lapbs.fem1d.Pencil`, in CSC, on the mesh's
     domain (the basket's L1 and L2 are not read), loaded with the
     put-on-maximum payoff: on each far edge either 0 ("dirichlet0") or the
-    transparent Robin term ("transparent").  Its unknowns are the nodes
-    not held at 0, in the mesh's ``nested_dissection`` order, built here
-    before any worker forks; ``expand`` (nodes x unknowns, one 1 per
-    column) maps them back to the nodes, and the pencil is expand^T S
-    expand, expand^T M expand, expand^T B_k expand with load expand^T b."""
+    transparent Robin term ("transparent").  Its unknowns are the nodes not
+    held at 0, in their ``nested_dissection`` order, built here before any
+    worker forks.  Swap-symmetric data (m1 = m2, L1 = L2, a11 = a22, one
+    condition on both far edges) give u(x1, x2) = u(x2, x1), so only the
+    nodes with i >= j are kept, and ``expand`` (nodes x unknowns) has each
+    column's 1 at its node and at the mirror (j, i); else one 1 a column.
+    The pencil is expand^T S expand, expand^T M expand, expand^T B_k expand
+    with load expand^T b; expand times its solution solves the whole grid."""
     u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
     spatial, mass, load = build_matrices(mesh, basket, u0)
     n = mesh.n_nodes
@@ -212,10 +215,18 @@ def pencil(mesh, basket, edges):
     free = np.ones(n, dtype=bool)
     for edge, idx in nodes.items():
         free[idx] &= getattr(edges, edge) != "dirichlet0"
-    nd = nested_dissection(mesh.m1, mesh.m2)
-    unknowns = nd[free[nd]]
-    k = len(unknowns)
-    expand = csc_matrix((np.ones(k), (unknowns, np.arange(k))), shape=(n, k))
+    grid = np.arange(n).reshape(mesh.m2 + 1, mesh.m1 + 1)   # rows j
+    keep, mirror = free.reshape(grid.shape), grid
+    if (mesh.m1 == mesh.m2 and mesh.L1 == mesh.L2
+            and basket.a11 == basket.a22 and edges.x1_far == edges.x2_far):
+        keep, mirror = np.triu(keep), grid.T   # (j, i) joins (i, j), i > j
+    unknowns = nested_dissection(keep)
+    twins = mirror.ravel()[unknowns]
+    pair = twins != unknowns
+    rows = np.r_[unknowns, twins[pair]]
+    cols = np.r_[np.arange(len(unknowns)), np.flatnonzero(pair)]
+    expand = csc_matrix((np.ones(len(rows)), (rows, cols)),
+                        shape=(n, len(unknowns)))
     restrict = lambda x: (expand.T @ x @ expand).tocsc()
     robin = tuple(
         (_robin_term(basket.r, a, L), restrict(_edge_mass(nodes[edge], h, n)))
@@ -226,25 +237,29 @@ def pencil(mesh, basket, edges):
                   np.empty(0, dtype=int), lambda z: 0.0, robin, expand)
 
 
-@functools.lru_cache(maxsize=None)
-def nested_dissection(m1, m2):
-    """Geometric nested-dissection order of the (m1+1) x (m2+1) node grid
-    (George, SIAM J. Numer. Anal. 10, 1973): bisect the longer side along
-    a grid line, which no triangle edge crosses, order the two halves
-    recursively and put the separator last; boxes of at most 4 nodes keep
-    natural order.  Cached per grid shape, so the array is read-only."""
-    def split(box):   # a block of the node grid: rows j, columns i
-        if box.size <= 4:
-            return [box.ravel()]
-        rows, cols = box.shape
-        if cols >= rows:
-            i = cols // 2
-            return split(box[:, :i]) + split(box[:, i + 1:]) + [box[:, i]]
-        j = rows // 2
-        return split(box[:j]) + split(box[j + 1:]) + [box[j]]
+def nested_dissection(keep):
+    """Geometric nested-dissection order (George, SIAM J. Numer. Anal. 10,
+    1973) of the nodes marked in ``keep``, a boolean node grid (rows j,
+    columns i): bisect the set's bounding box along its longer side at the
+    median grid line, which no triangle edge crosses, order the two halves
+    recursively and put the separator last; sets of at most 4 nodes keep
+    ascending order.  On a whole grid this is the box recursion.  Cached
+    per grid shape and kept set, so the array is read-only."""
+    keep = np.asarray(keep, dtype=bool)
+    return _nested_dissection(keep.shape, keep.tobytes())
 
-    order = np.concatenate(split(np.arange((m1 + 1) * (m2 + 1))
-                                 .reshape(m2 + 1, m1 + 1)))
+
+@functools.lru_cache(maxsize=None)
+def _nested_dissection(shape, keep):
+    def split(k):   # node indices, ascending
+        if len(k) <= 4:
+            return [k]
+        i, j = k % shape[1], k // shape[1]
+        key = i if np.ptp(i) >= np.ptp(j) else j
+        line = np.partition(key, len(k) // 2)[len(k) // 2]
+        return split(k[key < line]) + split(k[key > line]) + [k[key == line]]
+
+    order = np.concatenate(split(np.flatnonzero(np.frombuffer(keep, bool))))
     order.flags.writeable = False
     return order
 
@@ -281,6 +296,10 @@ def solve_shifts(pencil, zs):
     terms each shift has its own.  A real shift keeps Re(x), exact for real
     data.  A row is kept once its true residual passes ``solve2d``'s guard;
     one short after ``_MAX_STEPS`` steps goes to ``solve2d``, with a warning.
+    The guard, like ``solve2d``'s, reads the residual in the pencil's
+    unknowns.  Folded, that is expand^T r for the node residual
+    r = A*(expand x) - b, which is swap-symmetric like b, so
+    ||r|| <= ||expand^T r|| <= sqrt(2)*||r||, and the same holds for b.
     """
     anchor = len(zs) // 2
     z0 = zs[anchor]

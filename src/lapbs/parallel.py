@@ -4,13 +4,14 @@ Each contour node is a solve at one shift z of the problem's pencil.
 The N nodes are split into four contiguous groups (4, 4, 4, 3 for
 N = 15), fixed by the contour alone; a 2D group, Dirichlet or
 transparent, is solved with one LU and Krylov (``fem2d.solve_shifts``)
-in the pencil's unknowns, and each of its rows leaves the group as
-``pencil.expand @ x``, over the nodes; a 1D group is solved node by
-node.  Workers share nothing but the read-only pencil, inherited
-through the fork.  The pool's ordered ``map`` deals the groups out in
-contiguous chunks, one worker per chunk, and returns the rows in node
-order, so the ensemble is bit-identical for any worker count.  A pool that loses a worker is rebuilt once; the first error a
-node raises propagates, and the rest of its chunk is not run.
+in the pencil's unknowns (half the grid for swap-symmetric data), and
+each of its rows leaves the group as ``pencil.expand @ x``, over the
+nodes; a 1D group is solved node by node.  Workers share nothing but
+the read-only pencil, inherited through the fork.  The pool's ordered
+``map`` deals the groups out in contiguous chunks, one worker per chunk,
+and returns the rows in node order, so the ensemble is bit-identical for
+any worker count.  A pool that loses a worker is rebuilt once; the first
+error a node raises propagates, and the rest of its chunk is not run.
 
 The nodes are solved with one BLAS thread per process.  numpy's and
 scipy's bundled OpenBLAS each start one thread per CPU, so W workers

@@ -94,6 +94,20 @@ class TestConfig:
                       "--out", str(out)])
         assert not out.exists()
 
+    def test_no_table7_mesh_writes_nothing(self, tmp_path, monkeypatch):
+        # Table 7 runs only the meshes of at most 64 on [0,150]^2
+        def loaded(cfg, rebuild=False):
+            raise AssertionError("reference loaded before the config check")
+
+        monkeypatch.setattr(experiments, "reference_solution", loaded)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"meshes": [128]}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="at most 64"):
+            cli.main(["run", "--example", "ex3", "--config", str(path),
+                      "--out", str(out)])
+        assert not out.exists()
+
     def test_contour_lookup(self):
         cfg = experiments.default_config("ex1")
         c = cfg.contour(15)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu, spsolve
 
 from lapbs import fem2d
@@ -16,6 +17,8 @@ from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass,
 
 BASKET = Basket2D(r=0.05, a11=0.09, a22=0.09, a12=-0.018,
                   strike=100.0, maturity=1.0, L1=300.0, L2=300.0)
+# a11 != a22: no swap symmetry, so its pencils keep one node per unknown
+MIRRORED = replace(BASKET, a22=0.04)
 
 
 def payoff(x1, x2):
@@ -148,7 +151,7 @@ class TestBoundaryHandling:
     def test_no_dirichlet_when_transparent(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         edges = EdgeSpec(x1_far="transparent", x2_far="transparent")
-        p = pencil(mesh, BASKET, edges)
+        p = pencil(mesh, MIRRORED, edges)
         assert len(held_at_zero(p)) == 0
         assert p.expand.shape == (25, 25)
 
@@ -160,15 +163,28 @@ class TestBoundaryHandling:
     def test_transparent_modifies_only_far_edge_rows(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         z = 2.0 + 1.0j
-        a_d = full(pencil(mesh, BASKET, EdgeSpec(x2_far="dirichlet0",
-                                                 x1_far="transparent")), z)
-        a_t = full(pencil(mesh, BASKET, EdgeSpec(x2_far="dirichlet0",
-                                                 x1_far="dirichlet0")), z)
+        a_d = full(pencil(mesh, MIRRORED, EdgeSpec(x2_far="dirichlet0",
+                                                   x1_far="transparent")), z)
+        a_t = full(pencil(mesh, MIRRORED, EdgeSpec(x2_far="dirichlet0",
+                                                   x1_far="dirichlet0")), z)
         row, col = np.nonzero(a_d - a_t)
         # switching the edge to Dirichlet drops its rows and its columns
         far = np.arange(5) * 5 + 4
         assert len(row) > 0
         assert np.all(np.isin(row, far) | np.isin(col, far))
+
+    def test_transparent_modifies_only_far_edge_rows_folded(self):
+        # folded, the Robin terms touch only the unknowns of far-edge nodes
+        mesh = Mesh2D(300.0, 300.0, 4, 4)
+        p = pencil(mesh, BASKET, EdgeSpec(x1_far="transparent",
+                                          x2_far="transparent"))
+        far = np.unique(np.r_[np.arange(5) * 5 + 4, 20 + np.arange(5)])
+        on_far = np.flatnonzero(p.expand[far].sum(axis=0).A1)
+        assert len(on_far) == 5 and len(p.robin) == 2
+        for _, bk in p.robin:
+            row, col = bk.nonzero()
+            assert len(row) > 0
+            assert np.all(np.isin(row, on_far) & np.isin(col, on_far))
 
     def test_dirichlet_nodes_hold_zero(self):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
@@ -187,27 +203,29 @@ class TestPencil:
     def test_at_is_the_shifted_pencil_in_its_unknowns(self, edges):
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         z = 2.0 + 1.0j
-        spatial, mass, load = build_matrices(mesh, BASKET, payoff)
-        want = spatial + z * mass
         far1 = np.arange(5) * 5 + 4
         far2 = 20 + np.arange(5)
-        for cond, a, idx, h in ((edges.x1_far, BASKET.a11, far1, mesh.h2),
-                                (edges.x2_far, BASKET.a22, far2, mesh.h1)):
-            if cond == "transparent":
-                c = robin_coefficient(z, BASKET.r, np.sqrt(a), 300.0)
-                want = want - 0.5 * a * 300.0**2 * c * _edge_mass(
-                    idx, h, mesh.n_nodes)
+        for basket in (BASKET, MIRRORED):
+            spatial, mass, load = build_matrices(mesh, basket, payoff)
+            want = spatial + z * mass
+            for cond, a, idx, h in ((edges.x1_far, basket.a11, far1, mesh.h2),
+                                    (edges.x2_far, basket.a22, far2, mesh.h1)):
+                if cond == "transparent":
+                    c = robin_coefficient(z, basket.r, np.sqrt(a), 300.0)
+                    want = want - 0.5 * a * 300.0**2 * c * _edge_mass(
+                        idx, h, mesh.n_nodes)
 
-        p = pencil(mesh, BASKET, edges)
-        a, rhs = p.at(z)
-        e = p.expand
-        np.testing.assert_allclose(a.toarray(), (e.T @ want @ e).toarray(),
-                                   rtol=1e-14)
-        np.testing.assert_array_equal(rhs, e.T @ load)
-        # one 1 per column; each node is at most one unknown
-        assert np.all(e.data == 1.0)
+            p = pencil(mesh, basket, edges)
+            a, rhs = p.at(z)
+            e = p.expand
+            np.testing.assert_allclose(a.toarray(),
+                                       (e.T @ want @ e).toarray(), rtol=1e-14)
+            np.testing.assert_array_equal(rhs, e.T @ load)
+            # each node is at most one unknown, folded or not
+            assert np.all(e.data == 1.0)
+            assert np.all(e.toarray().sum(axis=1) <= 1)
+        # on the mirrored basket, one 1 per column
         assert np.all(np.diff(e.indptr) == 1)
-        assert np.all(e.toarray().sum(axis=1) <= 1)
 
     def test_transparent_edges_sit_at_the_mesh_domain(self):
         # the Robin terms take L from the mesh, whatever the basket says
@@ -219,6 +237,99 @@ class TestPencil:
             for basket in (replace(BASKET, L1=150.0, L2=150.0), BASKET))
         assert (a != b).nnz == 0
         np.testing.assert_array_equal(rhs, rhs_b)
+
+
+def mirror(mesh):
+    """Node (i, j) -> node (j, i) of a square grid."""
+    return np.arange(mesh.n_nodes).reshape(mesh.m2 + 1, mesh.m1 + 1).T.ravel()
+
+
+class TestFold:
+    """Swap-symmetric data (m1 = m2, L1 = L2, a11 = a22, one condition on
+    both far edges) fold each node (i, j), i < j, onto the unknown of its
+    mirror (j, i); any other data keep one node per unknown."""
+
+    @pytest.mark.parametrize("m", [16, 128])
+    def test_operators_commute_with_the_swap(self, m):
+        mesh = Mesh2D(300.0, 300.0, m, m)
+        n = mesh.n_nodes
+        swap = csr_matrix((np.ones(n), (np.arange(n), mirror(mesh))),
+                          shape=(n, n))
+        far = fem2d._far_nodes(mesh)
+        edges = (_edge_mass(far["x1_far"], mesh.h2, n)
+                 + _edge_mass(far["x2_far"], mesh.h1, n))
+        spatial, mass, _ = build_matrices(mesh, BASKET, payoff)
+        for x in (spatial, mass, edges):
+            assert abs(swap @ x @ swap.T - x).max() <= 1e-12 * abs(x).max()
+        # the mirrored basket's operator does not commute
+        x, _, _ = build_matrices(mesh, MIRRORED, payoff)
+        assert abs(swap @ x @ swap.T - x).max() > 1e-3 * abs(x).max()
+
+    @pytest.mark.parametrize("edges, free, unknowns", [
+        (EdgeSpec(), 16, 10),
+        (EdgeSpec(x1_far="transparent", x2_far="transparent"), 25, 15),
+    ], ids=["dirichlet", "transparent"])
+    def test_each_column_is_a_node_or_a_mirrored_pair(self, edges, free,
+                                                       unknowns):
+        mesh = Mesh2D(300.0, 300.0, 4, 4)
+        e = pencil(mesh, BASKET, edges).expand
+        assert e.shape == (25, unknowns)
+        assert np.all(e.data == 1.0)
+        # every free node sits in exactly one column
+        per_node = e.sum(axis=1).A1
+        assert np.all(per_node <= 1) and per_node.sum() == free
+        twin = mirror(mesh)
+        for c in range(unknowns):
+            nodes = e.indices[e.indptr[c]:e.indptr[c + 1]]
+            assert set(nodes) == {nodes[0], twin[nodes[0]]}
+
+    @pytest.mark.parametrize("mesh, basket, edges", [
+        (Mesh2D(300.0, 300.0, 4, 5), BASKET, EdgeSpec()),
+        (Mesh2D(300.0, 240.0, 4, 4), BASKET, EdgeSpec()),
+        (Mesh2D(300.0, 300.0, 4, 4), MIRRORED, EdgeSpec()),
+        (Mesh2D(300.0, 300.0, 4, 4), BASKET, EdgeSpec(x1_far="transparent")),
+    ], ids=["m1_m2", "L1_L2", "a11_a22", "edges"])
+    def test_asymmetric_data_keep_one_node_per_column(self, mesh, basket,
+                                                      edges):
+        e = pencil(mesh, basket, edges).expand
+        assert np.all(np.diff(e.indptr) == 1)
+        assert e.shape[1] == e.nnz == mesh.m1 * mesh.m2 + (
+            mesh.m2 if edges.x1_far == "transparent" else 0)
+
+    @pytest.mark.parametrize("z", [2.0, -8.35 + 12.39j,
+                                   quadrature_nodes(EX3_CONTOUR)[0][7]],
+                             ids=["real", "complex", "node7"])
+    @pytest.mark.parametrize("L, edges", [
+        (300.0, EdgeSpec()),
+        (150.0, EdgeSpec(x1_far="transparent", x2_far="transparent")),
+        (300.0, EdgeSpec(x1_far="transparent", x2_far="transparent")),
+        (300.0, EdgeSpec(x1_far="transparent")),
+    ], ids=["dirichlet", "transparent", "transparent_300", "mixed"])
+    def test_solve_matches_the_whole_grid(self, L, edges, z):
+        # the whole grid's system, built by hand on the free nodes
+        mesh = Mesh2D(L, L, 32, 32)
+        n = mesh.n_nodes
+        spatial, mass, load = build_matrices(mesh, BASKET, payoff)
+        a = spatial + z * mass
+        free = np.ones(n, dtype=bool)
+        far = fem2d._far_nodes(mesh)
+        for edge, h in (("x1_far", mesh.h2), ("x2_far", mesh.h1)):
+            if getattr(edges, edge) == "transparent":
+                c = robin_coefficient(z, BASKET.r, np.sqrt(BASKET.a11), L)
+                a = a - 0.5 * BASKET.a11 * L**2 * c * _edge_mass(far[edge],
+                                                                 h, n)
+            else:
+                free[far[edge]] = False
+        want = spsolve(a[free][:, free].tocsc(), load[free].astype(complex))
+
+        p = pencil(mesh, BASKET, edges)
+        folded = edges.x1_far == edges.x2_far
+        assert p.expand.shape[1] == (np.count_nonzero(np.triu(
+            free.reshape(33, 33))) if folded else np.count_nonzero(free))
+        got = p.expand @ solve2d(p.at(z))
+        assert np.all(got[~free] == 0.0)
+        assert (np.linalg.norm(got[free] - want)
+                <= 1e-11 * np.linalg.norm(want))
 
 
 FACTOR_EDGES = pytest.mark.parametrize("edges", [
@@ -239,6 +350,20 @@ class TestFactor:
     @FACTOR_EDGES
     def test_diagonal_pivots_and_less_fill(self, edges, z):
         mesh = Mesh2D(300.0, 300.0, 32, 32)
+        a, _ = pencil(mesh, MIRRORED, edges).at(z)
+        lu = factor(a)
+        default = splu(a)
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+        nnz = lu.L.nnz + lu.U.nnz
+        assert nnz <= 0.85 * (default.L.nnz + default.U.nnz)
+
+    @pytest.mark.parametrize("z", [2.0, 2.0 + 1.0j, -8.35 + 12.39j])
+    @pytest.mark.parametrize("edges", [
+        EdgeSpec(), EdgeSpec(x1_far="transparent", x2_far="transparent"),
+    ], ids=["dirichlet", "transparent"])
+    def test_diagonal_pivots_and_less_fill_folded(self, edges, z):
+        # the folded triangle at 32^2 is too small for the bound (0.95)
+        mesh = Mesh2D(300.0, 300.0, 64, 64)
         a, _ = pencil(mesh, BASKET, edges).at(z)
         lu = factor(a)
         default = splu(a)
@@ -258,21 +383,59 @@ class TestFactor:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def whole(m1, m2):
+    """Every node of the (m1+1) x (m2+1) grid kept."""
+    return np.ones((m2 + 1, m1 + 1), dtype=bool)
+
+
+def box_order(m1, m2):
+    """The whole grid's order as a recursion over boxes: the longer side
+    bisected at its middle grid line, separator last, boxes of at most
+    4 nodes in natural order."""
+    def split(box):   # a block of the node grid: rows j, columns i
+        if box.size <= 4:
+            return [box.ravel()]
+        rows, cols = box.shape
+        if cols >= rows:
+            i = cols // 2
+            return split(box[:, :i]) + split(box[:, i + 1:]) + [box[:, i]]
+        j = rows // 2
+        return split(box[:j]) + split(box[j + 1:]) + [box[j]]
+
+    return np.concatenate(split(np.arange((m1 + 1) * (m2 + 1))
+                                .reshape(m2 + 1, m1 + 1)))
+
+
+GRID_SHAPES = pytest.mark.parametrize("m1, m2", [
+    (1, 1), (1, 9), (9, 1), (2, 2), (8, 8), (24, 12), (12, 24), (31, 5),
+    (128, 128)])
+
+
 class TestNestedDissection:
-    @pytest.mark.parametrize("m1, m2", [(1, 1), (1, 9), (9, 1), (2, 2),
-                                        (8, 8), (24, 12), (12, 24), (31, 5),
-                                        (128, 128)])
+    @GRID_SHAPES
     def test_permutation_of_every_node(self, m1, m2):
-        order = nested_dissection(m1, m2)
+        order = nested_dissection(whole(m1, m2))
         assert np.array_equal(np.sort(order), np.arange((m1 + 1) * (m2 + 1)))
 
+    @GRID_SHAPES
+    def test_whole_grid_is_the_box_recursion(self, m1, m2):
+        np.testing.assert_array_equal(nested_dissection(whole(m1, m2)),
+                                      box_order(m1, m2))
+
     def test_small_box_keeps_natural_order(self):
-        np.testing.assert_array_equal(nested_dissection(1, 1), [0, 1, 2, 3])
+        np.testing.assert_array_equal(nested_dissection(whole(1, 1)),
+                                      [0, 1, 2, 3])
+
+    def test_small_set_keeps_ascending_order(self):
+        keep = np.zeros((9, 9), dtype=bool)
+        keep.flat[[70, 3, 41, 12]] = True
+        np.testing.assert_array_equal(nested_dissection(keep),
+                                      [3, 12, 41, 70])
 
     @pytest.mark.parametrize("m1, m2", [(8, 8), (8, 4), (4, 8)])
     def test_longer_side_bisected_separator_last(self, m1, m2):
         n1, n2 = m1 + 1, m2 + 1
-        order = nested_dissection(m1, m2)
+        order = nested_dissection(whole(m1, m2))
         if n1 >= n2:   # the column i = n1 // 2, bottom to top
             sep = np.arange(n2) * n1 + n1 // 2
         else:          # the row j = n2 // 2, left to right
@@ -283,19 +446,46 @@ class TestNestedDissection:
         i, j = first % n1, first // n1
         assert np.all(i < n1 // 2) if n1 >= n2 else np.all(j < n2 // 2)
 
+    def test_node_set_bisected_at_its_median_line(self):
+        # the triangle i >= j: its bounding box is square, so the set is
+        # cut at the median column, which is not the box's middle one
+        keep = np.triu(whole(8, 8))
+        order = nested_dissection(keep)
+        nodes = np.flatnonzero(keep)
+        i = nodes % 9
+        line = np.sort(i)[len(i) // 2]
+        assert line == 6
+        sep = nodes[i == line]
+        np.testing.assert_array_equal(order[-len(sep):], sep)
+        np.testing.assert_array_equal(np.sort(order), nodes)
+        rest = order[:-len(sep)] % 9
+        below = np.flatnonzero(rest < line)
+        assert np.all(rest[:len(below)] < line)
+
     def test_cached_and_read_only(self):
-        order = nested_dissection(6, 4)
-        assert order is nested_dissection(6, 4)
+        order = nested_dissection(whole(6, 4))
+        assert order is nested_dissection(whole(6, 4))
         with pytest.raises(ValueError, match="read-only"):
             order[0] = 1
 
     def test_pencil_carries_the_order(self):
-        # the unknowns are the free nodes in the grid's order
+        # the unknowns are the free nodes in their own order
         p = pencil(*NON_SQUARE, EdgeSpec())
-        nd = nested_dissection(24, 12)
-        free = np.isin(nd, held_at_zero(p), invert=True)
+        keep = np.ones(p.expand.shape[0], dtype=bool)
+        keep[held_at_zero(p)] = False
         e = p.expand.tocoo()
-        np.testing.assert_array_equal(e.row[np.argsort(e.col)], nd[free])
+        np.testing.assert_array_equal(e.row[np.argsort(e.col)],
+                                      nested_dissection(keep.reshape(13, 25)))
+
+    def test_folded_pencil_carries_the_triangle_order(self):
+        # each column's first node is its i >= j one, in the triangle's order
+        p = pencil(*SQUARE, EdgeSpec())
+        keep = np.ones(p.expand.shape[0], dtype=bool)
+        keep[held_at_zero(p)] = False
+        e = p.expand
+        np.testing.assert_array_equal(
+            e.indices[e.indptr[:-1]],
+            nested_dissection(np.triu(keep.reshape(33, 33))))
 
     def test_no_more_fill_than_minimum_degree_at_128(self):
         p = pencil(Mesh2D(300.0, 300.0, 128, 128), BASKET, EdgeSpec())
@@ -323,8 +513,16 @@ class TestSolve2D:
 
     def test_nan_rhs_raises(self):
         mesh = Mesh2D(300.0, 300.0, 8, 8)
-        a, rhs = pencil(mesh, BASKET, EdgeSpec()).at(2.0)
+        a, rhs = pencil(mesh, MIRRORED, EdgeSpec()).at(2.0)
         rhs[40] = np.nan
+        with pytest.raises(RuntimeError, match="residual is nan"):
+            solve2d((a, rhs))
+
+    def test_nan_rhs_raises_folded(self):
+        mesh = Mesh2D(300.0, 300.0, 8, 8)
+        a, rhs = pencil(mesh, BASKET, EdgeSpec()).at(2.0)
+        assert len(rhs) == 36
+        rhs[20] = np.nan
         with pytest.raises(RuntimeError, match="residual is nan"):
             solve2d((a, rhs))
 
