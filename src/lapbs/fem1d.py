@@ -151,7 +151,7 @@ class Pencil:
     fixed: np.ndarray
     values: Callable[[complex], object]
     robin: tuple = ()   # (c_k, B_k) pairs
-    expand: object = None   # 2D: nodes x unknowns, one or two 1s a column
+    expand: object = None   # 2D: nodes x unknowns, orthonormal columns
 
     def at(self, z):
         """(A(z), rhs) at one shift z, as ``solve`` takes it."""

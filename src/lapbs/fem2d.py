@@ -204,10 +204,12 @@ def pencil(mesh, basket, edges):
     held at 0, in their ``nested_dissection`` order, built here before any
     worker forks.  Swap-symmetric data (m1 = m2, L1 = L2, a11 = a22, one
     condition on both far edges) give u(x1, x2) = u(x2, x1), so only the
-    nodes with i >= j are kept, and ``expand`` (nodes x unknowns) has each
-    column's 1 at its node and at the mirror (j, i); else one 1 a column.
-    The pencil is expand^T S expand, expand^T M expand, expand^T B_k expand
-    with load expand^T b; expand times its solution solves the whole grid."""
+    nodes with i >= j are kept, and each column of ``expand`` (nodes x
+    unknowns) holds 1/sqrt(2) at a node and at its mirror (j, i), or 1 at
+    a node on the diagonal, so its columns are orthonormal; other data
+    keep one node, at 1, a column.  The pencil is expand^T S expand,
+    expand^T M expand, expand^T B_k expand with load expand^T b; expand
+    times its solution solves the whole grid."""
     u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
     spatial, mass, load = build_matrices(mesh, basket, u0)
     n = mesh.n_nodes
@@ -225,7 +227,8 @@ def pencil(mesh, basket, edges):
     pair = twins != unknowns
     rows = np.r_[unknowns, twins[pair]]
     cols = np.r_[np.arange(len(unknowns)), np.flatnonzero(pair)]
-    expand = csc_matrix((np.ones(len(rows)), (rows, cols)),
+    weight = np.where(pair, np.sqrt(0.5), 1.0)   # orthonormal columns
+    expand = csc_matrix((np.r_[weight, weight[pair]], (rows, cols)),
                         shape=(n, len(unknowns)))
     restrict = lambda x: (expand.T @ x @ expand).tocsc()
     robin = tuple(
@@ -298,8 +301,8 @@ def solve_shifts(pencil, zs):
     one short after ``_MAX_STEPS`` steps goes to ``solve2d``, with a warning.
     The guard, like ``solve2d``'s, reads the residual in the pencil's
     unknowns.  Folded, that is expand^T r for the node residual
-    r = A*(expand x) - b, which is swap-symmetric like b, so
-    ||r|| <= ||expand^T r|| <= sqrt(2)*||r||, and the same holds for b.
+    r = A*(expand x) - b, which is swap-symmetric like b; expand's columns
+    are orthonormal, so ||expand^T r|| = ||r||, and the same holds for b.
     """
     anchor = len(zs) // 2
     z0 = zs[anchor]

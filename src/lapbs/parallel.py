@@ -6,12 +6,14 @@ N = 15), fixed by the contour alone; a 2D group, Dirichlet or
 transparent, is solved with one LU and Krylov (``fem2d.solve_shifts``)
 in the pencil's unknowns (half the grid for swap-symmetric data), and
 each of its rows leaves the group as ``pencil.expand @ x``, over the
-nodes; a 1D group is solved node by node.  Workers share nothing but
-the read-only pencil, inherited through the fork.  The pool's ordered
-``map`` deals the groups out in contiguous chunks, one worker per chunk,
-and returns the rows in node order, so the ensemble is bit-identical for
-any worker count.  A pool that loses a worker is rebuilt once; the first
-error a node raises propagates, and the rest of its chunk is not run.
+nodes; a 1D group is solved node by node.  The groups are dealt out in
+contiguous chunks, one forked worker per chunk.  Workers inherit the
+read-only pencil through the fork and write each row in place into one
+shared buffer, so the ensemble is bit-identical for any worker count and
+no row is pickled: a worker sends back only a short message through its
+own pipe, and costs little more than its fork and its reap.  A pool that
+loses a worker is run once more; the first error a node raises
+propagates, in node order, and the rest of its chunk is not run.
 
 The nodes are solved with one BLAS thread per process.  numpy's and
 scipy's bundled OpenBLAS each start one thread per CPU, so W workers
@@ -26,11 +28,14 @@ unchanged, and the ``lapbs.parallel`` logger says so once.
 import ctypes
 import logging
 import math
+import mmap
 import os
+import pickle
+import signal
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 import scipy
@@ -96,6 +101,10 @@ class ProblemSpec:
             return fem1d.Mesh1D(self.market.L, self.m)
         return fem2d.Mesh2D(self.market.L1, self.market.L2, self.m, self.m)
 
+    def nodes(self):
+        """The mesh's node count: the length of one ensemble row."""
+        return (self.m + 1) ** (1 if self.kind == "put1d" else 2)
+
     def pencil(self):
         """The z-independent pieces, built once per problem."""
         if self.kind == "put1d":
@@ -155,31 +164,80 @@ _WORKER_STATE = {}   # set before the solves; forked workers inherit it
 _GROUPS = 4          # contiguous node groups, whatever the worker count
 
 
-def _solve_group(zs):
-    """The rows at the shifts ``zs``, by solvers looked up at call time."""
-    pencil = _WORKER_STATE["pencil"]
-    if _WORKER_STATE["spec"].kind == "put1d":
-        return [fem1d.solve(pencil.at(z)) for z in zs]
-    return [pencil.expand @ x for x in fem2d.solve_shifts(pencil, zs)]
+def _solve_groups(groups):
+    """Rows lo..hi-1 of each (lo, hi) in ``groups``, written in place into
+    the shared ``rows``, by solvers looked up at call time."""
+    spec, pencil, zs, rows = (_WORKER_STATE[k]
+                              for k in ("spec", "pencil", "zs", "rows"))
+    for lo, hi in groups:
+        if spec.kind == "put1d":
+            for j in range(lo, hi):
+                rows[j] = fem1d.solve(pencil.at(zs[j]))
+        else:
+            for j, x in enumerate(fem2d.solve_shifts(pencil, zs[lo:hi]), lo):
+                rows[j] = pencil.expand @ x
 
 
-def _run_pool(groups, chunk, processes):
-    """One forked worker per chunk; a pool that breaks is rebuilt once."""
-    # imported here, not at the top: the executor machinery adds tens
-    # of ms to ``import lapbs``, which in-process runs never use
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+def _fork_chunks(chunks):
+    """Fork one worker per chunk.  Each writes its rows into the shared
+    buffer and pickles back through its own pipe None, or (error,
+    traceback) for the first node that raised; a worker that died, or
+    whose error does not pickle, sends nothing.  Returns the messages in
+    chunk order, b"" for a worker that sent nothing."""
+    kids = []   # (pid, pipe), in chunk order
+    try:
+        # last chunk first: the contour's later nodes lie farther apart, so
+        # their groups take more Krylov steps (11, 11, 13 and 14 for the
+        # 128^2 Dirichlet basket), and start earliest
+        for chunk in reversed(chunks):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:   # the worker: it leaves only through _exit
+                code = 1
+                try:
+                    os.close(read)
+                    try:
+                        _solve_groups(chunk)
+                        out = None
+                    except Exception as err:
+                        out = (err, traceback.format_exc())
+                    with open(write, "wb") as pipe:
+                        pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            kids.insert(0, (pid, open(read, "rb")))
+        messages = []
+        while kids:
+            pid, pipe = kids[0]
+            messages.append(pipe.read())
+            pipe.close()
+            os.waitpid(pid, 0)
+            del kids[0]
+        return messages
+    finally:   # interrupted: no worker outlives the call
+        for pid, pipe in kids:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
+
+def _run_pool(chunks):
+    """One forked worker per chunk; a pool that loses a worker (OOM kill,
+    signal) is run once more.  The first node error, in node order, is
+    raised."""
     for attempt in range(2):
-        try:
-            with ProcessPoolExecutor(max_workers=processes,
-                                     mp_context=get_context("fork")) as pool:
-                return list(pool.map(_solve_group, groups, chunksize=chunk))
-        except BrokenProcessPool as err:
-            # a worker died (OOM kill, signal): one fresh pool may succeed
-            if attempt == 1:
-                raise
-            _LOG.warning("worker pool broke (%s); retrying once", err)
+        messages = _fork_chunks(chunks)
+        if b"" not in messages:
+            break
+        if attempt == 1:
+            raise RuntimeError("a pool worker died twice")
+        _LOG.warning("worker pool broke (a worker died); retrying once")
+    for failure in map(pickle.loads, messages):
+        if failure:
+            err, trace = failure
+            raise err from RuntimeError(f"in the worker:\n{trace}")
 
 
 def solve_ensemble(spec, contour, workers=1):
@@ -193,19 +251,21 @@ def solve_ensemble(spec, contour, workers=1):
     fem1d._require_count("workers", workers, 1, "worker")
     zs = quadrature_nodes(contour)[0].tolist()   # numpy's scalars round apart
     cuts = [-(-len(zs) * g // _GROUPS) for g in range(_GROUPS + 1)]
-    groups = [zs[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    chunk = math.ceil(len(groups) / workers)
-    processes = math.ceil(len(groups) / chunk)
-    _WORKER_STATE.update(spec=spec, pencil=spec.pencil())
+    groups = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    size = math.ceil(len(groups) / workers)
+    chunks = [groups[i:i + size] for i in range(0, len(groups), size)]
+    # one row per node, in memory the forked workers share with the caller
+    shared = mmap.mmap(-1, len(zs) * spec.nodes() * np.dtype(complex).itemsize)
+    rows = np.frombuffer(shared, complex).reshape(len(zs), -1)
+    _WORKER_STATE.update(spec=spec, pencil=spec.pencil(), zs=zs, rows=rows)
 
     start = time.perf_counter()
     with _one_blas_thread():
         if workers == 1:
-            rows = [_solve_group(g) for g in groups]
+            _solve_groups(groups)
         else:
-            rows = _run_pool(groups, chunk, processes)
+            _run_pool(chunks)
     wall = time.perf_counter() - start
 
-    ensemble = TransformEnsemble(contour,
-                                 np.array([row for g in rows for row in g]))
-    return ensemble, SpeedupRow(workers=processes, wall_time=wall)
+    ensemble = TransformEnsemble(contour, rows)
+    return ensemble, SpeedupRow(workers=len(chunks), wall_time=wall)

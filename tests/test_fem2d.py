@@ -221,10 +221,13 @@ class TestPencil:
             np.testing.assert_allclose(a.toarray(),
                                        (e.T @ want @ e).toarray(), rtol=1e-14)
             np.testing.assert_array_equal(rhs, e.T @ load)
-            # each node is at most one unknown, folded or not
-            assert np.all(e.data == 1.0)
-            assert np.all(e.toarray().sum(axis=1) <= 1)
+            # each node is in at most one unknown, folded or not, and the
+            # columns are orthonormal
+            assert np.all(np.diff(e.tocsr().indptr) <= 1)
+            np.testing.assert_allclose((e.T @ e).toarray(),
+                                       np.eye(e.shape[1]), rtol=0, atol=1e-15)
         # on the mirrored basket, one 1 per column
+        assert np.all(e.data == 1.0)
         assert np.all(np.diff(e.indptr) == 1)
 
     def test_transparent_edges_sit_at_the_mesh_domain(self):
@@ -274,14 +277,16 @@ class TestFold:
         mesh = Mesh2D(300.0, 300.0, 4, 4)
         e = pencil(mesh, BASKET, edges).expand
         assert e.shape == (25, unknowns)
-        assert np.all(e.data == 1.0)
         # every free node sits in exactly one column
-        per_node = e.sum(axis=1).A1
+        per_node = np.diff(e.tocsr().indptr)
         assert np.all(per_node <= 1) and per_node.sum() == free
         twin = mirror(mesh)
         for c in range(unknowns):
             nodes = e.indices[e.indptr[c]:e.indptr[c + 1]]
             assert set(nodes) == {nodes[0], twin[nodes[0]]}
+            # a node on the diagonal at 1, a mirrored pair at 1/sqrt(2) each
+            weights = e.data[e.indptr[c]:e.indptr[c + 1]]
+            assert np.all(weights == np.sqrt(1.0 / len(nodes)))
 
     @pytest.mark.parametrize("mesh, basket, edges", [
         (Mesh2D(300.0, 300.0, 4, 5), BASKET, EdgeSpec()),
@@ -330,11 +335,15 @@ class TestFold:
         assert np.all(got[~free] == 0.0)
         assert (np.linalg.norm(got[free] - want)
                 <= 1e-11 * np.linalg.norm(want))
-
-
-FACTOR_EDGES = pytest.mark.parametrize("edges", [
-    EdgeSpec(), EdgeSpec(x1_far="transparent"),
-], ids=["dirichlet", "mixed"])
+        # the residual guard's norms, read in the unknowns, are the node
+        # norms: for x = expand y, ||expand^T (a x - b)|| = ||a x - b||
+        y = np.random.default_rng(1).standard_normal(p.expand.shape[1])
+        r = np.where(free, a @ (p.expand @ y) - load, 0.0)
+        a_p, b_p = p.at(z)
+        assert np.linalg.norm(a_p @ y - b_p) == pytest.approx(
+            np.linalg.norm(r), rel=1e-12)
+        assert np.linalg.norm(b_p) == pytest.approx(
+            np.linalg.norm(load[free]), rel=1e-12)
 
 
 SQUARE = (Mesh2D(300.0, 300.0, 32, 32), BASKET)
@@ -347,24 +356,16 @@ class TestFactor:
     pivot and the ordering survives partial pivoting."""
 
     @pytest.mark.parametrize("z", [2.0, 2.0 + 1.0j, -8.35 + 12.39j])
-    @FACTOR_EDGES
-    def test_diagonal_pivots_and_less_fill(self, edges, z):
-        mesh = Mesh2D(300.0, 300.0, 32, 32)
-        a, _ = pencil(mesh, MIRRORED, edges).at(z)
-        lu = factor(a)
-        default = splu(a)
-        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
-        nnz = lu.L.nnz + lu.U.nnz
-        assert nnz <= 0.85 * (default.L.nnz + default.U.nnz)
-
-    @pytest.mark.parametrize("z", [2.0, 2.0 + 1.0j, -8.35 + 12.39j])
-    @pytest.mark.parametrize("edges", [
-        EdgeSpec(), EdgeSpec(x1_far="transparent", x2_far="transparent"),
-    ], ids=["dirichlet", "transparent"])
-    def test_diagonal_pivots_and_less_fill_folded(self, edges, z):
+    @pytest.mark.parametrize("m, basket, edges", [
+        (32, MIRRORED, EdgeSpec()),
+        (32, MIRRORED, EdgeSpec(x1_far="transparent")),
         # the folded triangle at 32^2 is too small for the bound (0.95)
-        mesh = Mesh2D(300.0, 300.0, 64, 64)
-        a, _ = pencil(mesh, BASKET, edges).at(z)
+        (64, BASKET, EdgeSpec()),
+        (64, BASKET, EdgeSpec(x1_far="transparent", x2_far="transparent")),
+    ], ids=["dirichlet", "mixed", "folded_dirichlet", "folded_transparent"])
+    def test_diagonal_pivots_and_less_fill(self, m, basket, edges, z):
+        mesh = Mesh2D(300.0, 300.0, m, m)
+        a, _ = pencil(mesh, basket, edges).at(z)
         lu = factor(a)
         default = splu(a)
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
@@ -513,18 +514,13 @@ class TestSolve2D:
 
     def test_nan_rhs_raises(self):
         mesh = Mesh2D(300.0, 300.0, 8, 8)
-        a, rhs = pencil(mesh, MIRRORED, EdgeSpec()).at(2.0)
-        rhs[40] = np.nan
-        with pytest.raises(RuntimeError, match="residual is nan"):
-            solve2d((a, rhs))
-
-    def test_nan_rhs_raises_folded(self):
-        mesh = Mesh2D(300.0, 300.0, 8, 8)
-        a, rhs = pencil(mesh, BASKET, EdgeSpec()).at(2.0)
-        assert len(rhs) == 36
-        rhs[20] = np.nan
-        with pytest.raises(RuntimeError, match="residual is nan"):
-            solve2d((a, rhs))
+        # unfolded: 64 unknowns; folded: 36
+        for basket, size, index in ((MIRRORED, 64, 40), (BASKET, 36, 20)):
+            a, rhs = pencil(mesh, basket, EdgeSpec()).at(2.0)
+            assert len(rhs) == size
+            rhs[index] = np.nan
+            with pytest.raises(RuntimeError, match="residual is nan"):
+                solve2d((a, rhs))
 
     def test_real_z_real_payoff_gives_real_positive_field(self):
         mesh = Mesh2D(300.0, 300.0, 16, 16)

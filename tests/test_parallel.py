@@ -243,6 +243,40 @@ class TestWorkerFailure:
             solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15, workers=2)
         assert calls.value == 2  # one failing node per chunk, one attempt
 
+    def test_node_error_carries_the_worker_traceback(self, monkeypatch):
+        def fail(system):
+            raise ValueError("residual guard tripped")
+
+        monkeypatch.setattr(fem1d, "solve", fail)
+        with deadline(30), pytest.raises(ValueError) as err:
+            solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15, workers=2)
+        cause = str(err.value.__cause__)
+        assert "in the worker" in cause and "_solve_groups" in cause
+        assert "residual guard tripped" in cause
+
+    def test_worker_dying_twice_raises(self, monkeypatch, caplog):
+        pids, fork = [], os.fork
+
+        def recorded_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        def die(system):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(fem1d, "solve", die)
+        with deadline(30), caplog.at_level(logging.WARNING, "lapbs.parallel"):
+            with pytest.raises(RuntimeError, match="died twice"):
+                solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15,
+                               workers=2)
+        assert caplog.text.count("retrying once") == 1
+        assert len(pids) == 4   # two workers, two attempts, each reaped
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
 
 class TestBlasCap:
     """Each loaded OpenBLAS runs the nodes at one thread and reads its own
