@@ -160,7 +160,7 @@ def _one_blas_thread():
             set_threads(count)
 
 
-_WORKER_STATE = {}   # set before the solves; forked workers inherit it
+_WORKER_STATE = {}   # set for the solves; forked workers inherit it
 _GROUPS = 4          # contiguous node groups, whatever the worker count
 
 
@@ -254,18 +254,24 @@ def solve_ensemble(spec, contour, workers=1):
     groups = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     size = math.ceil(len(groups) / workers)
     chunks = [groups[i:i + size] for i in range(0, len(groups), size)]
-    # one row per node, in memory the forked workers share with the caller
-    shared = mmap.mmap(-1, len(zs) * spec.nodes() * np.dtype(complex).itemsize)
-    rows = np.frombuffer(shared, complex).reshape(len(zs), -1)
+    shape = (len(zs), spec.nodes())   # one row per node
+    if workers == 1:
+        rows = np.empty(shape, complex)
+    else:   # in memory the forked workers share with the caller
+        shared = mmap.mmap(-1, math.prod(shape) * np.dtype(complex).itemsize)
+        rows = np.frombuffer(shared, complex).reshape(shape)
     _WORKER_STATE.update(spec=spec, pencil=spec.pencil(), zs=zs, rows=rows)
 
     start = time.perf_counter()
-    with _one_blas_thread():
-        if workers == 1:
-            _solve_groups(groups)
-        else:
-            _run_pool(chunks)
-    wall = time.perf_counter() - start
+    try:
+        with _one_blas_thread():
+            if workers == 1:
+                _solve_groups(groups)
+            else:
+                _run_pool(chunks)
+        wall = time.perf_counter() - start
+    finally:   # the pencil is not kept past the call
+        _WORKER_STATE.clear()
 
     ensemble = TransformEnsemble(contour, rows)
     return ensemble, SpeedupRow(workers=len(chunks), wall_time=wall)

@@ -165,6 +165,31 @@ class TestSolveEnsemble:
         assert np.array_equal(ens.values, base.values)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_state_kept_past_the_call(self, monkeypatch, workers):
+        spec = ProblemSpec("put1d", MARKET, 40)
+        solve_ensemble(spec, C15, workers=workers)
+        assert parallel._WORKER_STATE == {}
+
+        def fail(system):
+            raise ValueError("residual guard tripped")
+
+        monkeypatch.setattr(fem1d, "solve", fail)
+        with deadline(30), pytest.raises(ValueError):
+            solve_ensemble(spec, C15, workers=workers)
+        assert parallel._WORKER_STATE == {}
+
+    def test_more_workers_than_cores_write_every_row(self):
+        # the workers share one row buffer; a row lost or written twice
+        # would break the bitwise match, and a hang fails the deadline
+        spec = ProblemSpec("put1d", MARKET, 40)
+        base, _ = solve_ensemble(spec, C15, workers=1)
+        with deadline(60):
+            for _ in range(10):
+                ens, row = solve_ensemble(spec, C15, workers=4)
+                assert row.workers == 4
+                assert np.array_equal(ens.values, base.values)
+
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("edges", EDGES, ids=["dirichlet", "transparent"])
     def test_order_is_made_once_at_pencil_build(self, monkeypatch, edges,
                                                 workers):
