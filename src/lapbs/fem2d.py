@@ -35,7 +35,7 @@ __all__ = [
 
 _LOG = logging.getLogger(__name__)
 _RESIDUAL_TOL = 1e-10   # relative residual guard of every 2D solve
-_MAX_STEPS = 30         # Krylov steps per shift group before direct solves
+_MAX_STEPS = 30         # Krylov steps per Dirichlet group before direct solves
 
 
 @dataclass(frozen=True)
@@ -293,29 +293,29 @@ def solve_shifts(pencil, zs):
     """``solve2d(pencil.at(z))`` for each z in ``zs``, from one LU.
 
     b does not depend on z (2D Dirichlet data are 0), so with A(z0) factored
-    at the middle shift z0, GMRES solves (I + D*A(z0)^-1)*y = b for the other
-    shifts, D = A(z) - A(z0), keeping W = A(z0)^-1*V: x = W*y costs no solve.
-    D = (z - z0)*M shares one basis of M*A(z0)^-1 across shifts; with Robin
-    terms each shift has its own.  A real shift keeps Re(x), exact for real
-    data.  A row is kept once its true residual passes ``solve2d``'s guard;
-    one short after ``_MAX_STEPS`` steps goes to ``solve2d``, with a warning.
-    The guard, like ``solve2d``'s, reads the residual in the pencil's
-    unknowns.  Folded, that is expand^T r for the node residual
-    r = A*(expand x) - b, which is swap-symmetric like b; expand's columns
-    are orthonormal, so ||expand^T r|| = ||r||, and the same holds for b.
+    at the middle shift z0, GMRES solves (I + (z - z0)*M*A(z0)^-1)*y = b for
+    every other shift from one shared basis, keeping W = A(z0)^-1*V: x = W*y
+    costs no solve.  A Robin term c(z)*B breaks that shift structure, so a
+    pencil with a transparent edge, like zero data, is solved node by node
+    by ``solve2d``.  A real shift keeps Re(x), exact for real data.  A row
+    is kept once its true residual passes ``solve2d``'s guard; one short
+    after ``_MAX_STEPS`` steps goes to ``solve2d``, with a warning.  The
+    guard, like ``solve2d``'s, reads the residual in the pencil's unknowns.
+    Folded, that is expand^T r for the node residual r = A*(expand x) - b,
+    which is swap-symmetric like b; expand's columns are orthonormal, so
+    ||expand^T r|| = ||r||, and the same holds for b.
     """
     anchor = len(zs) // 2
     z0 = zs[anchor]
     a0, b = pencil.at(z0)
     beta = np.linalg.norm(b)
-    if not beta > 0:
+    if pencil.robin or not beta > 0:
         return [solve2d(pencil.at(z)) for z in zs]
     rows, reached = [None] * len(zs), [math.inf] * len(zs)
 
     def keep(k, x):
         x = x.real if zs[k].imag == 0 else x   # A(z) and b real at real z
-        res = (pencil.S @ x + zs[k] * (pencil.M @ x) - b
-               + sum(c(zs[k]) * (bk @ x) for c, bk in pencil.robin))
+        res = pencil.S @ x + zs[k] * (pencil.M @ x) - b
         reached[k] = np.linalg.norm(res) / beta
         if reached[k] <= _RESIDUAL_TOL:
             rows[k] = x
@@ -323,38 +323,33 @@ def solve_shifts(pencil, zs):
     lu = factor(a0)
     direct = lu.solve(b)
     keep(anchor, direct)
-    families = ([(sum(((c(z) - c(z0)) * bk for c, bk in pencil.robin),
-                      (z - z0) * pencil.M).dot, {k: 1.0})
-                 for k, z in enumerate(zs) if rows[k] is None] if pencil.robin
-                else [(pencil.M.dot, {k: z - z0 for k, z in enumerate(zs)})])
-    for apply, shifts in families:   # (w -> D*w, {k: shift}) per basis
-        h = np.zeros((_MAX_STEPS + 1, _MAX_STEPS), dtype=complex)
-        basis, solved = [b / beta], [direct / beta]
-        for m in range(1, _MAX_STEPS + 1):
-            v = apply(solved[-1])
-            for _ in range(2):   # modified Gram-Schmidt, repeated once
-                for i, u in enumerate(basis):
-                    c = np.vdot(u, v)
-                    h[i, m - 1] += c
-                    v -= c * u
-            h[m, m - 1] = np.linalg.norm(v)
-            e1 = beta * np.eye(m + 1)[0]
-            for k in [k for k in shifts if rows[k] is None]:
-                # (I + shift*K) V_m = V_{m+1} (I_bar + shift*H_bar)
-                hk = np.eye(m + 1, m) + shifts[k] * h[:m + 1, :m]
-                y = np.linalg.lstsq(hk, e1, rcond=None)[0]
-                reached[k] = np.linalg.norm(hk @ y - e1) / beta
-                if reached[k] <= _RESIDUAL_TOL:
-                    keep(k, y @ np.array(solved))
-            if (all(rows[k] is not None for k in shifts) or m == _MAX_STEPS
-                    or not h[m, m - 1] > 0):
-                break
-            basis.append(v / h[m, m - 1])
-            solved.append(lu.solve(basis[-1]))
-        for k in [k for k in shifts if rows[k] is None]:
-            _LOG.warning("shift z=%s reached relative residual %.3g in %d "
-                         "Krylov steps; solved directly", zs[k], reached[k], m)
-            rows[k] = solve2d(pencil.at(zs[k]))
+    h = np.zeros((_MAX_STEPS + 1, _MAX_STEPS), dtype=complex)
+    basis, solved = [b / beta], [direct / beta]
+    for m in range(1, _MAX_STEPS + 1):
+        v = pencil.M @ solved[-1]
+        for _ in range(2):   # modified Gram-Schmidt, repeated once
+            for i, u in enumerate(basis):
+                c = np.vdot(u, v)
+                h[i, m - 1] += c
+                v -= c * u
+        h[m, m - 1] = np.linalg.norm(v)
+        e1 = beta * np.eye(m + 1)[0]
+        for k in [k for k, x in enumerate(rows) if x is None]:
+            # (I + (z - z0)*K) V_m = V_{m+1} (I_bar + (z - z0)*H_bar)
+            hk = np.eye(m + 1, m) + (zs[k] - z0) * h[:m + 1, :m]
+            y = np.linalg.lstsq(hk, e1, rcond=None)[0]
+            reached[k] = np.linalg.norm(hk @ y - e1) / beta
+            if reached[k] <= _RESIDUAL_TOL:
+                keep(k, y @ np.array(solved))
+        if (all(x is not None for x in rows) or m == _MAX_STEPS
+                or not h[m, m - 1] > 0):
+            break
+        basis.append(v / h[m, m - 1])
+        solved.append(lu.solve(basis[-1]))
+    for k in [k for k, x in enumerate(rows) if x is None]:
+        _LOG.warning("shift z=%s reached relative residual %.3g in %d "
+                     "Krylov steps; solved directly", zs[k], reached[k], m)
+        rows[k] = solve2d(pencil.at(zs[k]))
     return rows
 
 

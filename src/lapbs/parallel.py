@@ -2,18 +2,20 @@
 
 Each contour node is a solve at one shift z of the problem's pencil.
 The N nodes are split into four contiguous groups (4, 4, 4, 3 for
-N = 15), fixed by the contour alone; a 2D group, Dirichlet or
-transparent, is solved with one LU and Krylov (``fem2d.solve_shifts``)
-in the pencil's unknowns (half the grid for swap-symmetric data), and
-each of its rows leaves the group as ``pencil.expand @ x``, over the
-nodes; a 1D group is solved node by node.  The groups are dealt out in
-contiguous chunks, one forked worker per chunk.  Workers inherit the
-read-only pencil through the fork and write each row in place into one
-shared buffer, so the ensemble is bit-identical for any worker count and
-no row is pickled: a worker sends back only a short message through its
-own pipe, and costs little more than its fork and its reap.  A pool that
-loses a worker is run once more; the first error a node raises
-propagates, in node order, and the rest of its chunk is not run.
+N = 15), fixed by the contour alone; a 2D group is solved by
+``fem2d.solve_shifts`` in the pencil's unknowns (half the grid for
+swap-symmetric data), from one LU and Krylov with Dirichlet edges and
+node by node with a transparent one, and each of its rows leaves the
+group as ``pencil.expand @ x``, over the nodes; a 1D group is solved
+node by node.  The groups are dealt out in contiguous chunks, one forked
+worker per chunk.  Each worker runs the call's own solve, a closure over
+the read-only pencil that it inherits through the fork, and writes each
+row in place into one shared buffer, so the ensemble is bit-identical
+for any worker count and no row is pickled: a worker sends back only a
+short message through its own pipe, and costs little more than its fork
+and its reap.  A pool that loses a worker is run once more; the first
+error a node raises propagates, in node order, and the rest of its chunk
+is not run.
 
 The nodes are solved with one BLAS thread per process.  numpy's and
 scipy's bundled OpenBLAS each start one thread per CPU, so W workers
@@ -26,6 +28,7 @@ unchanged, and the ``lapbs.parallel`` logger says so once.
 """
 
 import ctypes
+import functools
 import logging
 import math
 import mmap
@@ -62,7 +65,7 @@ _KINDS = {"put1d": fem1d.Market1D, "basket2d": fem2d.Basket2D}
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Picklable description of one pricing problem.
+    """Description of one pricing problem.
 
     ``kind`` is "put1d" (a Market1D, ``right_bc`` "dirichlet0" or
     "transparent") or "basket2d" (a Basket2D, ``edges`` an EdgeSpec,
@@ -160,15 +163,12 @@ def _one_blas_thread():
             set_threads(count)
 
 
-_WORKER_STATE = {}   # set for the solves; forked workers inherit it
-_GROUPS = 4          # contiguous node groups, whatever the worker count
+_GROUPS = 4   # contiguous node groups, whatever the worker count
 
 
-def _solve_groups(groups):
+def _solve_groups(spec, pencil, zs, rows, groups):
     """Rows lo..hi-1 of each (lo, hi) in ``groups``, written in place into
-    the shared ``rows``, by solvers looked up at call time."""
-    spec, pencil, zs, rows = (_WORKER_STATE[k]
-                              for k in ("spec", "pencil", "zs", "rows"))
+    ``rows``, by solvers looked up at call time."""
     for lo, hi in groups:
         if spec.kind == "put1d":
             for j in range(lo, hi):
@@ -178,12 +178,12 @@ def _solve_groups(groups):
                 rows[j] = pencil.expand @ x
 
 
-def _fork_chunks(chunks):
-    """Fork one worker per chunk.  Each writes its rows into the shared
-    buffer and pickles back through its own pipe None, or (error,
-    traceback) for the first node that raised; a worker that died, or
-    whose error does not pickle, sends nothing.  Returns the messages in
-    chunk order, b"" for a worker that sent nothing."""
+def _fork_chunks(chunks, solve):
+    """Fork one worker per chunk, which runs ``solve(chunk)``: it writes
+    its rows into the shared buffer and pickles back through its own pipe
+    None, or (error, traceback) for the first node that raised; a worker
+    that died, or whose error does not pickle, sends nothing.  Returns the
+    messages in chunk order, b"" for a worker that sent nothing."""
     kids = []   # (pid, pipe), in chunk order
     try:
         # last chunk first: the contour's later nodes lie farther apart, so
@@ -193,19 +193,17 @@ def _fork_chunks(chunks):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:   # the worker: it leaves only through _exit
-                code = 1
                 try:
                     os.close(read)
                     try:
-                        _solve_groups(chunk)
+                        solve(chunk)
                         out = None
                     except Exception as err:
                         out = (err, traceback.format_exc())
                     with open(write, "wb") as pipe:
                         pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
-                    code = 0
-                finally:
-                    os._exit(code)
+                finally:   # the caller reads the pipe, not the exit status
+                    os._exit(0)
             os.close(write)
             kids.insert(0, (pid, open(read, "rb")))
         messages = []
@@ -223,12 +221,12 @@ def _fork_chunks(chunks):
             os.waitpid(pid, 0)
 
 
-def _run_pool(chunks):
-    """One forked worker per chunk; a pool that loses a worker (OOM kill,
-    signal) is run once more.  The first node error, in node order, is
-    raised."""
+def _run_pool(chunks, solve):
+    """One forked worker per chunk, running ``solve``; a pool that loses a
+    worker (OOM kill, signal) is run once more.  The first node error, in
+    node order, is raised."""
     for attempt in range(2):
-        messages = _fork_chunks(chunks)
+        messages = _fork_chunks(chunks, solve)
         if b"" not in messages:
             break
         if attempt == 1:
@@ -260,18 +258,15 @@ def solve_ensemble(spec, contour, workers=1):
     else:   # in memory the forked workers share with the caller
         shared = mmap.mmap(-1, math.prod(shape) * np.dtype(complex).itemsize)
         rows = np.frombuffer(shared, complex).reshape(shape)
-    _WORKER_STATE.update(spec=spec, pencil=spec.pencil(), zs=zs, rows=rows)
+    solve = functools.partial(_solve_groups, spec, spec.pencil(), zs, rows)
 
     start = time.perf_counter()
-    try:
-        with _one_blas_thread():
-            if workers == 1:
-                _solve_groups(groups)
-            else:
-                _run_pool(chunks)
-        wall = time.perf_counter() - start
-    finally:   # the pencil is not kept past the call
-        _WORKER_STATE.clear()
+    with _one_blas_thread():
+        if workers == 1:
+            solve(groups)
+        else:
+            _run_pool(chunks, solve)
+    wall = time.perf_counter() - start
 
     ensemble = TransformEnsemble(contour, rows)
     return ensemble, SpeedupRow(workers=len(chunks), wall_time=wall)

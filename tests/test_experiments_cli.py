@@ -153,7 +153,31 @@ class TestExample1Harness:
         assert manifest["max_imag_residual"] <= 1e-10 * 50.0
 
 
+    def test_one_imag_residual_per_inversion(self, tmp_path):
+        # Table 2 inverts once per mesh, Table 3 once per contour
+        cfg = small_ex1_config(tmp_path)
+        rep = experiments.run_example1(cfg)
+        residuals = rep["imag_residuals"]
+        assert len(residuals) == len(cfg.meshes) + len(cfg.contours)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["max_imag_residual"] == max(residuals)
+
+
 class TestExample3Harness:
+    def test_one_imag_residual_per_inversion(self, tmp_path):
+        # Table 6 and each of Table 7's two edge sets invert at 16^2;
+        # Table 8 only times its solves
+        if not os.path.exists(REFERENCE_CACHE):
+            pytest.skip("reference cache not built yet")
+        cfg = experiments.default_config("ex3")
+        cfg.reference_cache = REFERENCE_CACHE
+        cfg.meshes, cfg.worker_sweep, cfg.out = [16], [1], str(tmp_path)
+        rep = experiments.run_example3(cfg)
+        residuals = rep["imag_residuals"]
+        assert len(residuals) == 3
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["max_imag_residual"] == max(residuals)
+
     def test_table8_and_fig2(self, tmp_path):
         if not os.path.exists(REFERENCE_CACHE):
             pytest.skip("reference cache not built yet")

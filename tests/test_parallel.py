@@ -1,6 +1,8 @@
+import gc
 import logging
 import os
 import signal
+import weakref
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from multiprocessing import get_context
@@ -122,8 +124,10 @@ class TestSolveEnsemble:
             _, residual = invert_at(ens, t, return_residual=True)
             assert residual == 0.0
 
-    @pytest.mark.parametrize("edges", EDGES, ids=["dirichlet", "transparent"])
-    def test_one_lu_per_group(self, monkeypatch, edges):
+    @pytest.mark.parametrize("edges, lus", zip(EDGES, (4, 15)),
+                             ids=["dirichlet", "transparent"])
+    def test_one_lu_per_dirichlet_group_and_per_transparent_node(
+            self, monkeypatch, edges, lus):
         calls = []
         splu = fem2d.splu
 
@@ -134,7 +138,22 @@ class TestSolveEnsemble:
         monkeypatch.setattr(fem2d, "splu", counted)
         spec = ProblemSpec("basket2d", BASKET, 32, edges=edges)
         solve_ensemble(spec, EX3_CONTOUR, workers=1)
-        assert len(calls) == 4
+        assert len(calls) == lus
+
+    @pytest.mark.parametrize("m, basket, edges", [
+        (64, replace(BASKET, L1=150.0, L2=150.0), EDGES[1]),
+        (32, BASKET, fem2d.EdgeSpec(x1_far="transparent")),
+    ], ids=["transparent", "mixed"])
+    def test_transparent_rows_are_direct_solves(self, m, basket, edges):
+        # a Robin term breaks the shared Krylov basis: each node is solved
+        # directly, and its row is the same on any worker count
+        spec = ProblemSpec("basket2d", basket, m, edges=edges)
+        p = spec.pencil()
+        want = np.array([p.expand @ fem2d.solve2d(p.at(z))
+                         for z in quadrature_nodes(EX3_CONTOUR)[0].tolist()])
+        for w in (1, 2, 4):
+            ens, _ = solve_ensemble(spec, EX3_CONTOUR, workers=w)
+            assert np.array_equal(ens.values, want)
 
     def test_ensemble_shape_and_nodes(self):
         spec = ProblemSpec("put1d", MARKET, 40)
@@ -165,10 +184,19 @@ class TestSolveEnsemble:
         assert np.array_equal(ens.values, base.values)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_no_state_kept_past_the_call(self, monkeypatch, workers):
+    def test_pencil_freed_after_the_call(self, monkeypatch, workers):
+        built, pencil = [], ProblemSpec.pencil
+
+        def kept(spec):
+            p = pencil(spec)
+            built.append(weakref.ref(p))
+            return p
+
+        monkeypatch.setattr(ProblemSpec, "pencil", kept)
         spec = ProblemSpec("put1d", MARKET, 40)
         solve_ensemble(spec, C15, workers=workers)
-        assert parallel._WORKER_STATE == {}
+        gc.collect()
+        assert built[-1]() is None
 
         def fail(system):
             raise ValueError("residual guard tripped")
@@ -176,7 +204,24 @@ class TestSolveEnsemble:
         monkeypatch.setattr(fem1d, "solve", fail)
         with deadline(30), pytest.raises(ValueError):
             solve_ensemble(spec, C15, workers=workers)
-        assert parallel._WORKER_STATE == {}
+        gc.collect()
+        assert len(built) == 2 and built[-1]() is None
+
+    def test_pooled_fallback_warnings_reach_the_guard(
+            self, monkeypatch, caplog, no_unchecked_lapbs_warnings):
+        # each worker logs its group's fallbacks in its own process, out of
+        # caplog's reach; the guard's file collects them all.  caplog is
+        # taken to mark them checked.
+        monkeypatch.setattr(fem2d, "_MAX_STEPS", 1)
+        spec = ProblemSpec("basket2d", BASKET, 16)
+        with caplog.at_level(logging.WARNING, "lapbs.fem2d"):
+            solve_ensemble(spec, EX3_CONTOUR, workers=2)
+        assert caplog.records == []
+        records = no_unchecked_lapbs_warnings.records()
+        assert len(records) == 11   # 15 nodes less the 4 groups' anchors
+        for name, message in records:
+            assert name == "lapbs.fem2d"
+            assert message.endswith("in 1 Krylov steps; solved directly")
 
     def test_more_workers_than_cores_write_every_row(self):
         # the workers share one row buffer; a row lost or written twice
