@@ -7,15 +7,15 @@ N = 15), fixed by the contour alone; a 2D group is solved by
 swap-symmetric data), from one LU and Krylov with Dirichlet edges and
 node by node with a transparent one, and each of its rows leaves the
 group as ``pencil.expand @ x``, over the nodes; a 1D group is solved
-node by node.  The groups are dealt out in contiguous chunks, one forked
-worker per chunk.  Each worker runs the call's own solve, a closure over
-the read-only pencil that it inherits through the fork, and writes each
-row in place into one shared buffer, so the ensemble is bit-identical
-for any worker count and no row is pickled: a worker sends back only a
-short message through its own pipe, and costs little more than its fork
-and its reap.  A pool that loses a worker is run once more; the first
-error a node raises propagates, in node order, and the rest of its chunk
-is not run.
+node by node.  The groups are dealt out in contiguous chunks: the
+caller solves the first and a forked worker each other one, so nothing
+forks at one worker.  Each runs the call's own solve, a closure over the
+read-only pencil that a worker inherits through the fork, and writes each
+row in place into one buffer, shared with the workers, so the ensemble is
+bit-identical for any worker count and no row is pickled: a worker sends
+back only a short message through its own pipe.  A pool that loses a
+worker is run once more; the first error a node raises propagates, in
+node order, and the rest of its chunk is not run.
 
 The nodes are solved with one BLAS thread per process.  numpy's and
 scipy's bundled OpenBLAS each start one thread per CPU, so W workers
@@ -179,19 +179,24 @@ def _solve_groups(spec, pencil, zs, rows, groups):
 
 
 def _fork_chunks(chunks, solve):
-    """Fork one worker per chunk, which runs ``solve(chunk)``: it writes
-    its rows into the shared buffer and pickles back through its own pipe
-    None, or (error, traceback) for the first node that raised; a worker
+    """Solve each chunk into the shared rows, ``chunks[0]`` in the caller
+    and each other in a forked worker, which pickles back through its own
+    pipe None, or (error, traceback) for its first failing node; a worker
     that died, or whose error does not pickle, sends nothing.  Returns the
-    messages in chunk order, b"" for a worker that sent nothing."""
+    workers' messages in chunk order, b"" for a worker that sent nothing."""
     kids = []   # (pid, pipe), in chunk order
     try:
         # last chunk first: the contour's later nodes lie farther apart, so
         # their groups take more Krylov steps (11, 11, 13 and 14 for the
         # 128^2 Dirichlet basket), and start earliest
-        for chunk in reversed(chunks):
+        for chunk in reversed(chunks[1:]):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:   # the worker: it leaves only through _exit
                 try:
                     os.close(read)
@@ -206,6 +211,7 @@ def _fork_chunks(chunks, solve):
                     os._exit(0)
             os.close(write)
             kids.insert(0, (pid, open(read, "rb")))
+        solve(chunks[0])
         messages = []
         while kids:
             pid, pipe = kids[0]
@@ -222,9 +228,9 @@ def _fork_chunks(chunks, solve):
 
 
 def _run_pool(chunks, solve):
-    """One forked worker per chunk, running ``solve``; a pool that loses a
-    worker (OOM kill, signal) is run once more.  The first node error, in
-    node order, is raised."""
+    """``_fork_chunks`` once, or twice if a worker is lost (OOM kill,
+    signal), the caller's chunk solved again too.  The first node error,
+    in node order, is raised."""
     for attempt in range(2):
         messages = _fork_chunks(chunks, solve)
         if b"" not in messages:
@@ -253,7 +259,7 @@ def solve_ensemble(spec, contour, workers=1):
     size = math.ceil(len(groups) / workers)
     chunks = [groups[i:i + size] for i in range(0, len(groups), size)]
     shape = (len(zs), spec.nodes())   # one row per node
-    if workers == 1:
+    if len(chunks) == 1:   # nothing forks
         rows = np.empty(shape, complex)
     else:   # in memory the forked workers share with the caller
         shared = mmap.mmap(-1, math.prod(shape) * np.dtype(complex).itemsize)
@@ -262,10 +268,7 @@ def solve_ensemble(spec, contour, workers=1):
 
     start = time.perf_counter()
     with _one_blas_thread():
-        if workers == 1:
-            solve(groups)
-        else:
-            _run_pool(chunks, solve)
+        _run_pool(chunks, solve)
     wall = time.perf_counter() - start
 
     ensemble = TransformEnsemble(contour, rows)

@@ -1,6 +1,8 @@
+import glob
 import json
 import logging
 import os
+import signal
 import tempfile
 
 import pytest
@@ -53,3 +55,23 @@ def no_unchecked_lapbs_warnings(request):
         name, message = records[0]
         pytest.fail(f"{len(records)} unchecked lapbs warning(s), "
                     f"the first on {name}: {message}")
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_children():
+    """Fail a test that leaves a child process behind, running or unreaped:
+    a pool must kill and reap its workers on every path.  The children
+    found are killed and reaped, so one leak fails one test."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    left = {pid} - {0}
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as f:
+            left.update(map(int, f.read().split()))
+    for child in left - {pid}:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    pytest.fail(f"the test left child process(es) {sorted(left)}")

@@ -183,6 +183,44 @@ class TestSolveEnsemble:
         assert row.workers == processes
         assert np.array_equal(ens.values, base.values)
 
+    def test_caller_solves_the_first_chunk_and_forks_the_rest(
+            self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        spec = ProblemSpec("put1d", MARKET, 40)
+        base, _ = solve_ensemble(spec, C15, workers=1)
+        for workers, forked, processes in [(1, 0, 1), (2, 1, 2), (3, 1, 2),
+                                           (4, 3, 4)]:
+            forks.clear()
+            ens, row = solve_ensemble(spec, C15, workers=workers)
+            assert (len(forks), row.workers) == (forked, processes)
+            assert np.array_equal(ens.values, base.values)
+
+    def test_failed_fork_leaks_no_pipe_and_no_worker(self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def second_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise OSError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        spec = ProblemSpec("put1d", MARKET, 40)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with deadline(30), pytest.raises(OSError, match="temporarily"):
+            solve_ensemble(spec, C15, workers=4)
+        assert len(forks) == 2
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pencil_freed_after_the_call(self, monkeypatch, workers):
         built, pencil = [], ProblemSpec.pencil
@@ -209,14 +247,14 @@ class TestSolveEnsemble:
 
     def test_pooled_fallback_warnings_reach_the_guard(
             self, monkeypatch, caplog, no_unchecked_lapbs_warnings):
-        # each worker logs its group's fallbacks in its own process, out of
-        # caplog's reach; the guard's file collects them all.  caplog is
-        # taken to mark them checked.
+        # the forked worker logs its groups' fallbacks in its own process,
+        # out of caplog's reach, which holds only the caller's; the guard's
+        # file collects them all.
         monkeypatch.setattr(fem2d, "_MAX_STEPS", 1)
         spec = ProblemSpec("basket2d", BASKET, 16)
         with caplog.at_level(logging.WARNING, "lapbs.fem2d"):
             solve_ensemble(spec, EX3_CONTOUR, workers=2)
-        assert caplog.records == []
+        assert len(caplog.records) == 6   # groups 0-1: 8 nodes less 2 anchors
         records = no_unchecked_lapbs_warnings.records()
         assert len(records) == 11   # 15 nodes less the 4 groups' anchors
         for name, message in records:
@@ -275,6 +313,18 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def in_workers(fault):
+    """A 1D solve that runs ``fault`` in a forked worker and the real
+    ``fem1d.solve`` in the calling process, so that a fault never reaches
+    the test's own process, which solves the first chunk."""
+    caller, solve = os.getpid(), fem1d.solve
+
+    def solve_or_fault(system):
+        return (fault if os.getpid() != caller else solve)(system)
+
+    return solve_or_fault
+
+
 class TestWorkerFailure:
     """The counters are shared memory created before the fork, so every
     worker of every pool attempt updates the same value."""
@@ -293,7 +343,7 @@ class TestWorkerFailure:
                 os.kill(os.getpid(), signal.SIGKILL)
             return solve(system)
 
-        monkeypatch.setattr(fem1d, "solve", die_once)
+        monkeypatch.setattr(fem1d, "solve", in_workers(die_once))
         with deadline(30), caplog.at_level(logging.WARNING, "lapbs.parallel"):
             ens, _ = solve_ensemble(spec, C15, workers=2)
         assert killed.value == 1
@@ -308,21 +358,39 @@ class TestWorkerFailure:
                 calls.value += 1
             raise ValueError("residual guard tripped")
 
-        monkeypatch.setattr(fem1d, "solve", fail)
+        monkeypatch.setattr(fem1d, "solve", in_workers(fail))
         with deadline(30), pytest.raises(ValueError, match="residual guard"):
             solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15, workers=2)
-        assert calls.value == 2  # one failing node per chunk, one attempt
+        assert calls.value == 1  # the worker's first node, one attempt
 
     def test_node_error_carries_the_worker_traceback(self, monkeypatch):
         def fail(system):
             raise ValueError("residual guard tripped")
 
-        monkeypatch.setattr(fem1d, "solve", fail)
+        monkeypatch.setattr(fem1d, "solve", in_workers(fail))
         with deadline(30), pytest.raises(ValueError) as err:
             solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15, workers=2)
         cause = str(err.value.__cause__)
         assert "in the worker" in cause and "_solve_groups" in cause
         assert "residual guard tripped" in cause
+
+    def test_caller_chunk_error_kills_and_reaps_the_workers(self,
+                                                            monkeypatch):
+        # the worker would never finish; only the kill ends it in time
+        caller = os.getpid()
+
+        def fail_or_hang(system):
+            if os.getpid() == caller:
+                raise ValueError("residual guard tripped")
+            signal.pause()
+
+        monkeypatch.setattr(fem1d, "solve", fail_or_hang)
+        with deadline(30), pytest.raises(ValueError) as err:
+            solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15, workers=2)
+        assert "residual guard tripped" in str(err.value)
+        assert err.value.__cause__ is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_worker_dying_twice_raises(self, monkeypatch, caplog):
         pids, fork = [], os.fork
@@ -336,13 +404,13 @@ class TestWorkerFailure:
             os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(os, "fork", recorded_fork)
-        monkeypatch.setattr(fem1d, "solve", die)
+        monkeypatch.setattr(fem1d, "solve", in_workers(die))
         with deadline(30), caplog.at_level(logging.WARNING, "lapbs.parallel"):
             with pytest.raises(RuntimeError, match="died twice"):
                 solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15,
                                workers=2)
         assert caplog.text.count("retrying once") == 1
-        assert len(pids) == 4   # two workers, two attempts, each reaped
+        assert len(pids) == 2   # one worker, two attempts, each reaped
         for pid in pids:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
