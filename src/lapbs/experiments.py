@@ -270,7 +270,8 @@ def reference_solution(cfg, rebuild=False):
 
     Cached to cfg.reference_cache with the basket data it was built for
     (a cache without them was built for ``default_config("ex3")``); a
-    cache built for other data raises ValueError.  Returns (values, Mesh2D).
+    cache built for other data, or without the grid's finite values,
+    raises ValueError.  Returns (values, Mesh2D).
     """
     path = cfg.reference_cache
     mesh = fem2d.Mesh2D(600.0, 600.0, 512, 512)
@@ -282,7 +283,11 @@ def reference_solution(cfg, rebuild=False):
             if wrong:
                 raise ValueError(f"reference cache {path} was built for "
                                  f"other basket data: {wrong} differ")
-            return data["values"], mesh
+            values = data["values"]
+        if values.shape != (mesh.n_nodes,) or not np.isfinite(values).all():
+            raise ValueError(f"reference cache {path} does not hold the "
+                             f"{mesh.n_nodes} finite values of its grid")
+        return values, mesh
     basket = replace(cfg.basket(), L1=600.0, L2=600.0)
     steps = int(round(cfg.maturity / 0.02))
     values = cn.march2d(mesh, basket, cn.MarchConfig(steps))

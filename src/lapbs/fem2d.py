@@ -1,9 +1,10 @@
 """P1 triangle elements for the Laplace-transformed two-asset equation.
 
 The rectangle [0,L1] x [0,L2] carries a uniform tensor grid, each cell
-split along the (i,j)-(i+1,j+1) diagonal.  All variable-coefficient
-integrands are quadratic per triangle, so the edge-midpoint rule
-integrates them exactly.
+split along the (i,j)-(i+1,j+1) diagonal, so the matrices are 7-point
+stencils, filled by grid slices on one CSR pattern per grid shape.  The
+edge-midpoint rule integrates the variable-coefficient integrands, each
+quadratic per triangle, exactly, but not the load across the payoff's kink.
 """
 
 import functools
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .fem1d import (RIGHT_BCS, Pencil, _require_count, _require_positive,
@@ -98,85 +99,81 @@ def payoff_basket_maxput(x1, x2, strike):
     return np.maximum(strike - np.maximum(x1, x2), 0.0)
 
 
-def _triangles(mesh):
-    """Vertex index triplets, both orientations CCW."""
-    m1, m2 = mesh.m1, mesh.m2
-    ii, jj = np.meshgrid(np.arange(m1), np.arange(m2))
-    n00 = (jj * (m1 + 1) + ii).ravel()
-    n10 = n00 + 1
-    n01 = n00 + (m1 + 1)
-    n11 = n01 + 1
-    lower = np.stack([n00, n10, n11], axis=1)
-    upper = np.stack([n00, n11, n01], axis=1)
-    return np.vstack([lower, upper])
+# a cell's triangles (n00, n10, n11) and (n00, n11, n01), CCW, as (di, dj)
+_CORNERS = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+# a node's (di, dj) neighbours in a CSR row's column order
+_STENCIL = [(-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 def build_matrices(mesh, basket, u0):
     """z-independent pieces: (spatial matrix, mass matrix, load vector).
 
     The spatial matrix is the weak form of the transformed operator minus
-    its z-mass part; boundary rows are untouched here.
+    its z-mass part; boundary rows are untouched here.  All lower
+    triangles share one set of P1 gradients and all upper ones another,
+    so each element entry is a fixed combination of per-cell integrals,
+    the area and the edge-midpoint moments of x, added by grid slices
+    into the 7 stencil diagonals.  The load sums u0 at the same midpoints
+    into the nodes: a rule exact for the matrices but not across the
+    payoff's kink, kept as it is.  Both matrices take the cached
+    ``_stencil_pattern``, explicit zeros included.
     """
-    tris = _triangles(mesh)
-    coords = np.stack([mesh.x1g.ravel(), mesh.x2g.ravel()], axis=1)
-    p = coords[tris]  # (nt, 3, 2)
-    nt = len(tris)
-
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-    # constant P1 gradients: grad lambda_k = perp(p_{k+1} - p_{k+2}) / (2A)
-    # with perp(d) = (d_y, -d_x), so that grad lambda_k points toward p_k
-    g = np.empty((nt, 3, 2))
-    for k in range(3):
-        d = p[:, (k + 1) % 3] - p[:, (k + 2) % 3]
-        g[:, k, 0] = d[:, 1]
-        g[:, k, 1] = -d[:, 0]
-    g /= (2.0 * area)[:, None, None]
-
-    # edge midpoints; weights A/3; exact for quadratics
-    mids = 0.5 * (p[:, [0, 1, 2]] + p[:, [1, 2, 0]])  # (nt, 3, 2)
-    lam = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    wq = (area / 3.0)[:, None]
-
-    q1, q2 = mids[:, :, 0], mids[:, :, 1]
-    m11 = np.sum(wq * q1 * q1, axis=1)
-    m22 = np.sum(wq * q2 * q2, axis=1)
-    m12 = np.sum(wq * q1 * q2, axis=1)
-    # int x_i * lambda_k over the triangle
-    ix1 = (wq * q1) @ lam  # (nt, 3)
-    ix2 = (wq * q2) @ lam
-
+    m1, m2, w = mesh.m1, mesh.m2, mesh.h1 * mesh.h2 / 6.0   # midpoint weight
     a11, a22, a12, r = basket.a11, basket.a22, basket.a12, basket.r
-    c1 = a11 + 0.5 * a12 - r
-    c2 = a22 + 0.5 * a12 - r
+    c1, c2 = a11 + 0.5 * a12 - r, a22 + 0.5 * a12 - r
+    lam = 0.5 * np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])   # at midpoints
+    mass_el = (w / 4.0) * (np.ones((3, 3)) + np.eye(3))   # area / 12
+    sides1, sides2 = (np.stack([x[:-1], x[1:]]) for x in (mesh.x1, mesh.x2))
+    spatial, mass = np.zeros((2, 7, m2 + 1, m1 + 1))
+    load = np.zeros((m2 + 1, m1 + 1))
+    for di, dj in _CORNERS.transpose(0, 2, 1):
+        # grad lambda_k = perp(p_{k+1} - p_{k+2}) / (2A), perp(d) = (dy, -dx)
+        gx = (np.roll(dj, -1) - np.roll(dj, -2)) / mesh.h1
+        gy = (np.roll(di, -2) - np.roll(di, -1)) / mesh.h2
+        # midpoints of the edges (k, k+1): x1 over cells i, x2 over cells j
+        q1 = 0.5 * (sides1[di] + sides1[np.roll(di, -1)])
+        q2 = 0.5 * (sides2[dj] + sides2[np.roll(dj, -1)])
+        ix1, ix2 = w * lam.T @ q1, w * lam.T @ q2   # int x_i * lambda_k
+        m11, m22 = w * (q1 * q1).sum(0), w * (q2 * q2).sum(0)
+        # diffusion, the cross term split symmetrically; convection, rows
+        # test functions and columns trial; r * mass
+        along1 = (0.5 * a11 * np.outer(gx, gx)[..., None] * m11
+                  + c1 * ix1[:, None] * gx[:, None] + r * mass_el[..., None])
+        along2 = (0.5 * a22 * np.outer(gy, gy)[..., None] * m22
+                  + c2 * ix2[:, None] * gy[:, None])
+        cross = 0.5 * a12 * (np.outer(gy, gx) + np.outer(gx, gy))
+        el = (along1[:, :, None] + along2[..., None]
+              + cross[..., None, None] * (w * q2.T @ q1))
+        f = np.tensordot(lam, w * u0(q1[:, None], q2[..., None]), (0, 0))
+        for a in range(3):
+            at = np.s_[dj[a]:dj[a] + m2, di[a]:di[a] + m1]
+            load[at] += f[a]
+            for b in range(3):
+                k = _STENCIL.index((di[b] - di[a], dj[b] - dj[a]))
+                spatial[k][at] += el[a, b]
+                mass[k][at] += mass_el[a, b]
+    indices, indptr, where = _stencil_pattern(m1, m2)
+    csr = lambda x: csr_matrix((x.ravel()[where], indices, indptr),
+                               shape=(mesh.n_nodes,) * 2)
+    return csr(spatial), csr(mass), load.ravel()
 
-    el = np.zeros((nt, 3, 3))
-    # diffusion, symmetric split of the cross term
-    el += 0.5 * a11 * m11[:, None, None] * np.einsum("ti,tj->tij", g[:, :, 0], g[:, :, 0])
-    el += 0.5 * a22 * m22[:, None, None] * np.einsum("ti,tj->tij", g[:, :, 1], g[:, :, 1])
-    el += 0.5 * a12 * m12[:, None, None] * (
-        np.einsum("ti,tj->tij", g[:, :, 1], g[:, :, 0])
-        + np.einsum("ti,tj->tij", g[:, :, 0], g[:, :, 1])
-    )
-    # convection: rows are test functions, columns trial
-    el += c1 * np.einsum("ti,tj->tij", ix1, g[:, :, 0])
-    el += c2 * np.einsum("ti,tj->tij", ix2, g[:, :, 1])
-    # r * mass
-    mass_el = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-    el += r * mass_el
 
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    n = mesh.n_nodes
-    spatial = coo_matrix((el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mass = coo_matrix((mass_el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-    f_el = (wq * u0(q1, q2)) @ lam
-    load = np.zeros(n)
-    np.add.at(load, tris.ravel(), f_el.ravel())
-    return spatial, mass, load
+@functools.lru_cache(maxsize=None)
+def _stencil_pattern(m1, m2):
+    """CSR (indices, indptr) of the 7-point stencil on the (m1+1) x (m2+1)
+    node grid, with every in-grid neighbour, and each entry's place in a
+    (7, nodes) array of stencil diagonals.  Cached per grid shape, so the
+    arrays are read-only."""
+    i, j = np.meshgrid(np.arange(m1 + 1), np.arange(m2 + 1))
+    di, dj = np.array(_STENCIL).T
+    ni, nj = i.reshape(-1, 1) + di, j.reshape(-1, 1) + dj   # (nodes, 7)
+    inside = (ni >= 0) & (ni <= m1) & (nj >= 0) & (nj <= m2)
+    indices = (nj * (m1 + 1) + ni)[inside].astype(np.int32)
+    indptr = np.r_[0, np.cumsum(inside.sum(axis=1))].astype(np.int32)
+    where = (np.arange(7) * i.size + np.arange(i.size)[:, None])[inside]
+    for x in (indices, indptr, where):
+        x.flags.writeable = False
+    return indices, indptr, where
 
 
 def _far_nodes(mesh):
@@ -188,12 +185,10 @@ def _far_nodes(mesh):
 
 def _edge_mass(indices, h, n):
     """1D P1 mass matrix of a boundary line, scattered into the 2D system."""
-    seg = np.stack([indices[:-1], indices[1:]], axis=1)
-    el = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-    data = np.tile(el.ravel(), len(seg))
-    rows = np.repeat(seg, 2, axis=1).ravel()
-    cols = np.tile(seg, (1, 2)).ravel()
-    return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    a, b = indices[:-1], indices[1:]   # the segments' ends
+    data = np.repeat((h / 6.0) * np.array([2.0, 2.0, 1.0, 1.0]), len(a))
+    return csr_matrix((data, (np.r_[a, b, a, b], np.r_[a, b, b, a])),
+                      shape=(n, n))
 
 
 def pencil(mesh, basket, edges):

@@ -271,6 +271,23 @@ class TestCli:
         with pytest.raises(ValueError, match=r"\['a12', 'maturity'\]"):
             experiments.reference_solution(cfg)
 
+    @pytest.mark.parametrize("values", [
+        np.ones(100),
+        np.where(np.arange(513 * 513) == 7, np.nan, 1.0),
+    ], ids=["short", "nan"])
+    def test_bad_reference_values_write_nothing(self, tmp_path, values):
+        # the cache's keys match, its values are not the 513^2 grid's
+        cfg = experiments.default_config("ex3")
+        cfg.reference_cache = str(tmp_path / "ref.npz")
+        cfg.out = str(tmp_path / "out")
+        np.savez(cfg.reference_cache, values=values,
+                 **{k: getattr(cfg, k) for k in experiments._REFERENCE_KEYS})
+        with pytest.raises(ValueError, match="ref.npz.*finite values"):
+            experiments.reference_solution(cfg)
+        with pytest.raises(ValueError, match="ref.npz.*finite values"):
+            experiments.run_example3(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             cli.main([])

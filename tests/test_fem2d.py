@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu, spsolve
 
 from lapbs import fem2d
@@ -127,6 +128,193 @@ class TestBuildMatrices:
     def test_mass_symmetric(self):
         d = self.mass - self.mass.T
         assert abs(d).max() < 1e-12
+
+
+def _triangles(mesh):
+    """Vertex index triplets, both orientations CCW."""
+    m1, m2 = mesh.m1, mesh.m2
+    ii, jj = np.meshgrid(np.arange(m1), np.arange(m2))
+    n00 = (jj * (m1 + 1) + ii).ravel()
+    n10 = n00 + 1
+    n01 = n00 + (m1 + 1)
+    n11 = n01 + 1
+    lower = np.stack([n00, n10, n11], axis=1)
+    upper = np.stack([n00, n11, n01], axis=1)
+    return np.vstack([lower, upper])
+
+
+def element_matrices(mesh, basket, u0):
+    """``build_matrices`` by per-triangle element assembly: each triangle's
+    gradients, areas and edge-midpoint integrals from its own vertex
+    coordinates, scattered through COO.  The reference the stencil fill
+    is checked against."""
+    tris = _triangles(mesh)
+    coords = np.stack([mesh.x1g.ravel(), mesh.x2g.ravel()], axis=1)
+    p = coords[tris]  # (nt, 3, 2)
+    nt = len(tris)
+
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+    # constant P1 gradients: grad lambda_k = perp(p_{k+1} - p_{k+2}) / (2A)
+    # with perp(d) = (d_y, -d_x), so that grad lambda_k points toward p_k
+    g = np.empty((nt, 3, 2))
+    for k in range(3):
+        d = p[:, (k + 1) % 3] - p[:, (k + 2) % 3]
+        g[:, k, 0] = d[:, 1]
+        g[:, k, 1] = -d[:, 0]
+    g /= (2.0 * area)[:, None, None]
+
+    # edge midpoints; weights A/3; exact for quadratics
+    mids = 0.5 * (p[:, [0, 1, 2]] + p[:, [1, 2, 0]])  # (nt, 3, 2)
+    lam = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    wq = (area / 3.0)[:, None]
+
+    q1, q2 = mids[:, :, 0], mids[:, :, 1]
+    m11 = np.sum(wq * q1 * q1, axis=1)
+    m22 = np.sum(wq * q2 * q2, axis=1)
+    m12 = np.sum(wq * q1 * q2, axis=1)
+    # int x_i * lambda_k over the triangle
+    ix1 = (wq * q1) @ lam  # (nt, 3)
+    ix2 = (wq * q2) @ lam
+
+    a11, a22, a12, r = basket.a11, basket.a22, basket.a12, basket.r
+    c1 = a11 + 0.5 * a12 - r
+    c2 = a22 + 0.5 * a12 - r
+
+    el = np.zeros((nt, 3, 3))
+    # diffusion, symmetric split of the cross term
+    el += 0.5 * a11 * m11[:, None, None] * np.einsum("ti,tj->tij", g[:, :, 0],
+                                                     g[:, :, 0])
+    el += 0.5 * a22 * m22[:, None, None] * np.einsum("ti,tj->tij", g[:, :, 1],
+                                                     g[:, :, 1])
+    el += 0.5 * a12 * m12[:, None, None] * (
+        np.einsum("ti,tj->tij", g[:, :, 1], g[:, :, 0])
+        + np.einsum("ti,tj->tij", g[:, :, 0], g[:, :, 1])
+    )
+    # convection: rows are test functions, columns trial
+    el += c1 * np.einsum("ti,tj->tij", ix1, g[:, :, 0])
+    el += c2 * np.einsum("ti,tj->tij", ix2, g[:, :, 1])
+    # r * mass
+    mass_el = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+    el += r * mass_el
+
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    n = mesh.n_nodes
+    spatial = coo_matrix((el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    mass = coo_matrix((mass_el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+    f_el = (wq * u0(q1, q2)) @ lam
+    load = np.zeros(n)
+    np.add.at(load, tris.ravel(), f_el.ravel())
+    return spatial, mass, load
+
+
+def stencil_nnz(m1, m2):
+    """Entries of the 7-point pattern: each node, and both ends of each
+    horizontal, vertical and diagonal edge."""
+    return ((m1 + 1) * (m2 + 1) + 2 * m1 * (m2 + 1) + 2 * (m1 + 1) * m2
+            + 2 * m1 * m2)
+
+
+def assert_matches_elements(mesh, basket, u0=payoff):
+    """``build_matrices`` against ``element_matrices``: the same CSR
+    pattern, S and M within 1e-14 of their largest entry and the load
+    within 1e-15 of its largest.  Not entry by entry relatively: two
+    correct summation orders differ by 50% on a cancelling entry of
+    1e-21 of the largest, or leave it exactly 0 in one of them."""
+    got, want = build_matrices(mesh, basket, u0), element_matrices(mesh,
+                                                                  basket, u0)
+    for x, y in zip(got[:2], want[:2]):
+        np.testing.assert_array_equal(x.indptr, y.indptr)
+        np.testing.assert_array_equal(x.indices, y.indices)
+        assert x.nnz == stencil_nnz(mesh.m1, mesh.m2)
+        assert np.abs(x.data - y.data).max() <= 1e-14 * np.abs(y.data).max()
+    load, ref = got[2], want[2]
+    assert load.shape == ref.shape
+    assert np.abs(load - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+class TestStencilFill:
+    """The stencil fill gives the element assembly's matrices and load."""
+
+    @pytest.mark.parametrize("mesh, basket", [
+        (Mesh2D(600.0, 600.0, 128, 128), BASKET),
+        (Mesh2D(300.0, 200.0, 12, 7), BASKET),
+        (Mesh2D(300.0, 200.0, 1, 6), BASKET),
+        (Mesh2D(300.0, 200.0, 7, 1), BASKET),
+        (Mesh2D(300.0, 300.0, 1, 1), BASKET),
+        (Mesh2D(300.0, 300.0, 64, 64), replace(BASKET, a12=0.0)),
+        (Mesh2D(300.0, 200.0, 12, 7), MIRRORED),
+        (Mesh2D(300.0, 200.0, 12, 7), replace(MIRRORED, a12=0.0, r=-0.02)),
+    ], ids=["128", "12x7", "m1_1", "m2_1", "1x1", "a12_0", "a11_a22",
+            "a12_0_a11_a22"])
+    def test_matches_element_assembly(self, mesh, basket):
+        assert_matches_elements(mesh, basket)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m1=st.integers(1, 12), m2=st.integers(1, 12),
+           L1=st.floats(1.0, 1000.0), L2=st.floats(1.0, 1000.0),
+           a11=st.floats(0.001, 1.0), a22=st.floats(0.001, 1.0),
+           rho=st.floats(-0.99, 0.99), r=st.floats(-0.1, 0.2),
+           strike=st.floats(0.1, 1.0))
+    def test_matches_on_random_grids(self, m1, m2, L1, L2, a11, a22, rho, r,
+                                     strike):
+        basket = Basket2D(r, a11, a22, rho * np.sqrt(a11 * a22),
+                          strike * min(L1, L2), 1.0, L1, L2)
+        assert_matches_elements(Mesh2D(L1, L2, m1, m2), basket,
+                                lambda x1, x2: payoff_basket_maxput(
+                                    x1, x2, basket.strike))
+
+
+class TestStencilPattern:
+    """One read-only CSR pattern per grid shape, explicit zeros kept, so
+    every build on a grid has the structurally symmetric 7-point one."""
+
+    def test_cached_and_read_only(self):
+        pattern = fem2d._stencil_pattern(6, 4)
+        assert all(x is y for x, y in zip(pattern,
+                                          fem2d._stencil_pattern(6, 4)))
+        for x in pattern:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1
+
+    def test_shared_between_builds_on_one_grid(self):
+        mesh = Mesh2D(300.0, 200.0, 6, 4)
+        indices, indptr, _ = fem2d._stencil_pattern(6, 4)
+        for basket in (BASKET, MIRRORED):
+            for x in build_matrices(mesh, basket, payoff)[:2]:
+                assert np.shares_memory(x.indices, indices)
+                assert np.shares_memory(x.indptr, indptr)
+
+    def test_structurally_symmetric(self):
+        # at 64^2 two entries of S cancel to exactly 0, their transposes not
+        s, m, _ = build_matrices(Mesh2D(300.0, 300.0, 64, 64), BASKET, payoff)
+        for x in (s, m):
+            pattern = csr_matrix((np.ones(x.nnz), x.indices, x.indptr),
+                                 shape=x.shape)
+            assert (pattern != pattern.T).nnz == 0
+
+    def test_a12_zero_keeps_every_entry(self):
+        # cancelling entries stay as explicit zeros, whatever the data
+        mesh = Mesh2D(300.0, 300.0, 64, 64)
+        nnz = [x.nnz for basket in (BASKET, replace(BASKET, a12=0.0))
+               for x in build_matrices(mesh, basket, payoff)[:2]]
+        assert nnz == [stencil_nnz(64, 64)] * 4
+
+    def test_folded_lu_fill_matches_element_assembly(self, monkeypatch):
+        mesh = Mesh2D(300.0, 300.0, 64, 64)
+        z = quadrature_nodes(EX3_CONTOUR)[0][7]
+        fills = []
+        for build in (build_matrices, element_matrices):
+            monkeypatch.setattr(fem2d, "build_matrices", build)
+            p = pencil(mesh, BASKET, EdgeSpec())
+            assert p.expand.shape[1] < mesh.n_nodes // 2   # folded
+            lu = factor(p.at(z)[0])
+            fills.append(lu.L.nnz + lu.U.nnz)
+        assert fills[0] == fills[1]
 
 
 def held_at_zero(p):
