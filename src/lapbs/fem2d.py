@@ -357,32 +357,41 @@ def _require_within(name, x, bound):
         raise ValueError(f"{name} must lie in [0, {bound:g}], got {bad[0]:g}")
 
 
+def _nodal(name, values, mesh):
+    """values as the (m2+1, m1+1) node grid; ValueError unless it has one
+    entry per mesh node."""
+    v = np.asarray(values)
+    if v.size != mesh.n_nodes:
+        raise ValueError(f"{name} has {v.size} entries but the mesh has "
+                         f"{mesh.n_nodes} nodes")
+    return v.reshape(mesh.m2 + 1, mesh.m1 + 1)
+
+
 def interpolate_p1(values, mesh, x1, x2):
     """Evaluate the triangulated P1 interpolant at tensor points (x1 x x2).
 
-    Points must lie inside [0,L1] x [0,L2] (else ValueError); returns
-    array of shape (len(x2), len(x1)) matching meshgrid layout.
+    ``values`` needs one entry per mesh node and the points must lie
+    inside [0,L1] x [0,L2] (else ValueError).  Each x1 point's cell
+    column and each x2 point's cell row are looked up once, on the 1D
+    lists (flattened, as ``np.meshgrid`` does); the result has shape
+    (len(x2), len(x1)), the meshgrid layout.
     """
     for name, x, L in (("x1", x1, mesh.L1), ("x2", x2, mesh.L2)):
         _require_within(name + " points", x, L)
-    v = np.asarray(values).reshape(mesh.m2 + 1, mesh.m1 + 1)
-    I, J = np.meshgrid(np.minimum(np.asarray(x1) / mesh.h1, mesh.m1 - 1e-12),
-                       np.minimum(np.asarray(x2) / mesh.h2, mesh.m2 - 1e-12))
-    i = I.astype(int)
-    j = J.astype(int)
-    fx = I - i
-    fy = J - j
-    v00 = v[j, i]
-    v10 = v[j, i + 1]
-    v01 = v[j + 1, i]
-    v11 = v[j + 1, i + 1]
-    lower = fx >= fy  # triangle (n00, n10, n11)
-    out = np.where(
-        lower,
-        v00 + (v10 - v00) * fx + (v11 - v10) * fy,
-        v00 + (v11 - v01) * fx + (v01 - v00) * fy,
-    )
-    return out
+    v = _nodal("values", values, mesh)
+    I = np.minimum(np.ravel(x1) / mesh.h1, mesh.m1 - 1e-12)
+    J = np.minimum(np.ravel(x2) / mesh.h2, mesh.m2 - 1e-12)
+    i, j = I.astype(int), J.astype(int)
+    fx, fy = I - i, (J - j)[:, None]
+    lo, hi = v[j], v[j + 1]   # each x2 point's cell: bottom and top rows
+    up = hi - lo
+    # v00 + a*fx + b*fy on triangle (n00, n10, n11) where fx >= fy, else on
+    # (n00, n11, n01): a is v10 - v00 or v11 - v01, b is v11 - v10 or
+    # v01 - v00, each difference taken on the rows before the column gather
+    lower = fx >= fy
+    a = np.where(lower, np.diff(lo)[:, i], np.diff(hi)[:, i])
+    b = np.where(lower, up[:, i + 1], up[:, i])
+    return lo[:, i] + a * fx + b * fy
 
 
 def _whole_cells(name, L, h):
@@ -408,8 +417,7 @@ def relative_l2(values, mesh, ref_values, ref_mesh, L1, L2):
               (("L1", L1, ref_mesh.h1), ("L2", L2, ref_mesh.h2)))
     x1 = ref_mesh.x1[: n1 + 1]
     x2 = ref_mesh.x2[: n2 + 1]
-    ref = np.asarray(ref_values).reshape(ref_mesh.m2 + 1, ref_mesh.m1 + 1)
-    ref = ref[: n2 + 1, : n1 + 1]
+    ref = _nodal("ref_values", ref_values, ref_mesh)[: n2 + 1, : n1 + 1]
     num = interpolate_p1(values, mesh, x1, x2)
 
     w1 = np.full(n1 + 1, ref_mesh.h1)

@@ -807,6 +807,53 @@ class TestSolveShifts:
             np.testing.assert_allclose(x, 0.0, atol=1e-14)
 
 
+def interpolate_meshgrid(values, mesh, x1, x2):
+    """``interpolate_p1`` on two (len(x2), len(x1)) meshgrids of cell
+    coordinates, each point's corners gathered by (row, column) pairs and
+    both triangles' formulas evaluated everywhere.  The reference the 1D
+    cell lookup is checked against, bit for bit."""
+    v = np.asarray(values).reshape(mesh.m2 + 1, mesh.m1 + 1)
+    I, J = np.meshgrid(np.minimum(np.asarray(x1) / mesh.h1, mesh.m1 - 1e-12),
+                       np.minimum(np.asarray(x2) / mesh.h2, mesh.m2 - 1e-12))
+    i = I.astype(int)
+    j = J.astype(int)
+    fx = I - i
+    fy = J - j
+    v00 = v[j, i]
+    v10 = v[j, i + 1]
+    v01 = v[j + 1, i]
+    v11 = v[j + 1, i + 1]
+    return np.where(fx >= fy,
+                    v00 + (v10 - v00) * fx + (v11 - v10) * fy,
+                    v00 + (v11 - v01) * fx + (v01 - v00) * fy)
+
+
+# cell widths with short binary mantissas: q/4 * h and its quotient by h
+# are exact, so quarter points give fx = fy exactly when their quarters match
+EXACT_WIDTHS = [0.5, 1.25, 3.0, 9.375]
+
+
+@st.composite
+def interpolation_case(draw):
+    """A mesh, nodal values and point lists for ``interpolate_p1``: quarter
+    points (cell edges, 0, L and fx = fy included), any points in the
+    domain, repeats and any order; sometimes one axis a scalar."""
+    m1, m2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    width = st.sampled_from(EXACT_WIDTHS) | st.floats(0.01, 100.0)
+    mesh = Mesh2D(m1 * draw(width), m2 * draw(width), m1, m2)
+
+    def points(m, h, L):
+        point = (st.integers(0, 4 * m).map(lambda q: q / 4 * h)
+                 | st.floats(0.0, L) | st.sampled_from([0.0, L]))
+        xs = draw(st.lists(point, min_size=1, max_size=12))
+        return xs[0] if draw(st.booleans()) else np.array(xs)
+
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=mesh.n_nodes)
+    return (values, mesh, points(m1, mesh.h1, mesh.L1),
+            points(m2, mesh.h2, mesh.L2))
+
+
 class TestInterpolationAndError:
     def test_reproduces_nodal_values(self):
         mesh = Mesh2D(10.0, 10.0, 5, 5)
@@ -821,6 +868,35 @@ class TestInterpolationAndError:
         got = interpolate_p1(vals.ravel(), mesh, xs, xs)
         want = 2.0 * xs[None, :] + 3.0 * xs[:, None] - 1.0
         np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=interpolation_case())
+    def test_bitwise_equal_to_meshgrid_reference(self, case):
+        got, want = interpolate_p1(*case), interpolate_meshgrid(*case)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_scalar_points_give_one_by_one(self):
+        # as np.meshgrid lays out scalars; (37.5, 75) is node (1, 2)
+        mesh = Mesh2D(300.0, 150.0, 8, 4)
+        vals = np.arange(mesh.n_nodes, dtype=float)
+        got = interpolate_p1(vals, mesh, 37.5, 75.0)
+        assert got.shape == (1, 1) and got[0, 0] == 19.0
+
+    @pytest.mark.parametrize("arg, bad", [
+        ("values", "values has 288 entries but the mesh has 289 nodes"),
+        ("ref_values", "ref_values has 288 entries but the mesh has 1089 "
+                       "nodes"),
+    ])
+    def test_relative_l2_values_count_rejected(self, arg, bad):
+        mesh = Mesh2D(300.0, 300.0, 16, 16)
+        ref_mesh = Mesh2D(600.0, 600.0, 32, 32)
+        args = dict(values=np.ones(mesh.n_nodes),
+                    ref_values=np.ones(ref_mesh.n_nodes))
+        args[arg] = np.ones(288)
+        with pytest.raises(ValueError, match=bad):
+            relative_l2(args["values"], mesh, args["ref_values"], ref_mesh,
+                        300.0, 300.0)
 
     def test_relative_l2_identical_is_zero(self):
         mesh = Mesh2D(300.0, 300.0, 16, 16)
