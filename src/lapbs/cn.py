@@ -9,17 +9,18 @@ only: the payoff is the initial data, the 1D ends hold K*exp(-r*t) at
 x = 0 and 0 at x = L, and the 2D edges are ``EdgeSpec()``'s (zero flux at
 the axes, 0 at the far edges).  In 1D the Dirichlet rows are eliminated
 in the pencil, and each step pins the end values; the factor is LAPACK's
-tridiagonal LU (``dgttrf``/``dgttrs``).  In 2D the march runs in the
-pencil's own unknowns, which leave out the far-edge nodes and, for
-swap-symmetric data, fold each node (i, j), i < j, onto its mirror
-(j, i), and returns ``expand`` of the result; both LUs, the step matrix
-and the projection, come from ``fem2d.factor``, as the Laplace nodes' do.
+tridiagonal LU (``dgttrf``/``dgttrs``), and the initial projection is one
+``dgtsv`` call by ``fem1d._gtsv``, as each Laplace node's solve is.  In 2D
+the march runs in the pencil's own unknowns, which leave out the far-edge
+nodes and, for swap-symmetric data, fold each node (i, j), i < j, onto its
+mirror (j, i), and returns ``expand`` of the result; both LUs, the projection
+and then the step matrix, come from ``fem2d.factor``, as the Laplace
+nodes' do, and the first is freed before the second is made.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import fem1d, fem2d
@@ -54,7 +55,7 @@ def march1d(mesh, market, config):
     proj[1, p.fixed] = 1.0
     b = p.load.copy()
     b[p.fixed] = ends(0.0)
-    u = solve_banded((1, 1), proj, b)
+    u = fem1d._gtsv(proj, b)
     for n in range(config.steps):
         b = fem1d._residual(rhs_op, u)
         b[p.fixed] = ends((n + 1) * dt)
@@ -66,11 +67,11 @@ def march2d(mesh, basket, config):
     """Crank-Nicolson for the basket put on the triangulated grid."""
     p = fem2d.pencil(mesh, basket, fem2d.EdgeSpec())
     dt = basket.maturity / config.steps
+    # L2-projected initial data, matching the 1D march; M's LU is freed
+    # here, so two LUs are never alive at once
+    u = fem2d.factor(p.M).solve(p.load)
     lu = fem2d.factor(p.S + (2.0 / dt) * p.M)
     rhs_op = ((2.0 / dt) * p.M - p.S).tocsr()
-
-    # L2-projected initial data, matching the 1D march
-    u = fem2d.factor(p.M).solve(p.load)
     for _ in range(config.steps):
         u = lu.solve(rhs_op @ u)
     return p.expand @ u

@@ -9,7 +9,8 @@ polynomials, so every entry is closed-form).  The x = 0 node is always a
 Dirichlet node; the right end is either Dirichlet or a transparent Robin
 condition built from the exterior solution's logarithmic derivative.
 One solve at a shift z is ``solve(pencil(mesh, market, right_bc).at(z))``:
-the pencil is built once per problem and serves every z.
+the pencil is built once per problem and serves every z, and each solve is
+one call of LAPACK's tridiagonal ``?gtsv`` plus a residual guard.
 """
 
 import cmath
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, zgtsv
 
 __all__ = [
     "Market1D",
@@ -136,12 +137,14 @@ class Pencil:
 
     Built once per problem, so a node costs one axpy plus the
     right-hand-side pins: ``values(z)`` at the ``fixed`` rows, ``load``
-    elsewhere.  In 1D the matrices are (3, n) bands in ``solve_banded``
-    layout over the nodes, with the Dirichlet rows eliminated (identity
-    rows in S, zero rows in M and in each B_k).  In 2D every Dirichlet
-    value is 0, so they are CSC over the pencil's own unknowns, the nodes
-    it keeps in nested-dissection order, and nothing is pinned; ``expand``
-    maps a solution back to the nodes (1D leaves it unset).
+    elsewhere.  In 1D the matrices are (3, n) bands over the nodes, gtsv's
+    three diagonals: row 0 the upper (``[0, j]`` is A[j-1, j]), row 1 the
+    main and row 2 the lower (``[2, j]`` is A[j+1, j]), with the Dirichlet
+    rows eliminated (identity rows in S, zero rows in M and in each B_k).
+    In 2D every Dirichlet value is 0, so they are CSC over the pencil's own
+    unknowns, the nodes it keeps in nested-dissection order, and nothing is
+    pinned; ``expand`` maps a solution back to the nodes (1D leaves it
+    unset).
     Crank-Nicolson steps with S + (2/dt)*M.
     """
 
@@ -154,10 +157,13 @@ class Pencil:
     expand: object = None   # 2D: nodes x unknowns, orthonormal columns
 
     def at(self, z):
-        """(A(z), rhs) at one shift z, as ``solve`` takes it."""
-        a = self.S + complex(z) * self.M
+        """(A(z), rhs) at one shift z, as ``solve`` takes it.  A(z) is one
+        new array, summed in place; the pencil is never written (a sparse
+        ``+=`` makes a new matrix)."""
+        a = complex(z) * self.M
+        a += self.S
         for c, b in self.robin:
-            a = a + c(z) * b
+            a += c(z) * b
         rhs = self.load.astype(complex)
         rhs[self.fixed] = self.values(z)
         return a, rhs
@@ -224,18 +230,38 @@ def pencil(mesh, market, right_bc="dirichlet0"):
 
 
 def solve(system):
-    """Direct banded solve of ``Pencil.at(z)``'s (bands, rhs), with a
-    residual guard that a non-finite solution or residual also trips
-    (RuntimeError); returns the nodal values."""
+    """Direct tridiagonal solve of ``Pencil.at(z)``'s (bands, rhs) by
+    :func:`_gtsv`, with a residual guard: a non-finite solution, or a
+    residual ||A x - b|| above 1e-12 * (||A||_F ||x|| + ||b||), raises
+    RuntimeError.  Returns the nodal values."""
     bands, rhs = system
-    sol = solve_banded((1, 1), bands, rhs)
+    sol = _gtsv(bands, rhs)
     if not np.isfinite(sol).all():
         raise RuntimeError("banded solve gave a non-finite solution")
-    res = np.linalg.norm(_residual(bands, sol) - rhs)
-    scale = np.linalg.norm(bands) * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    r = _residual(bands, sol)
+    r -= rhs
+    res = _norm(r)
+    scale = _norm(bands) * _norm(sol) + _norm(rhs)
     if not (math.isfinite(res) and res <= 1e-12 * max(scale, 1.0)):
         raise RuntimeError(f"banded solve residual too large: {res:g}")
     return sol
+
+
+def _gtsv(bands, rhs):
+    """Solve (3, n) bands by LAPACK's ``dgtsv``, or ``zgtsv`` if either
+    input is complex: the routine ``solve_banded((1, 1), ...)`` calls, on
+    copies.  A zero pivot raises LinAlgError naming its (1-based) row."""
+    gtsv = zgtsv if np.iscomplexobj(bands) or np.iscomplexobj(rhs) else dgtsv
+    *_, sol, info = gtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"singular tridiagonal matrix: zero pivot at row {info}")
+    return sol
+
+
+def _norm(v):
+    """2-norm of v (Frobenius for the bands)."""
+    return math.sqrt(np.vdot(v, v).real)
 
 
 def _residual(bands, sol):

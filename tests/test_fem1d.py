@@ -5,8 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
+from lapbs import fem1d
 from lapbs.analytic import l2_error, reduction_rate
+from lapbs.contour import quadrature_nodes
+from lapbs.experiments import default_config
 from lapbs.fem1d import (RIGHT_BCS, Market1D, Mesh1D, _load_vector,
                          left_dirichlet_transform, p1_b_form, p1_l2_sq,
                          p1_weighted_semi_sq, payoff_put, pencil,
@@ -111,7 +115,7 @@ class TestAssembleOracle:
 
 
 def dense(bands):
-    """Full matrix of (3, n) bands in ``solve_banded`` layout."""
+    """Full matrix of (3, n) bands: upper, main and lower diagonal."""
     return (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
             + np.diag(bands[2, :-1], -1))
 
@@ -145,6 +149,21 @@ class TestPencil:
         assert rhs[0] == pytest.approx(50.0 / (z + 0.05))
         if not robin:
             assert rhs[-1] == 0.0
+
+    @pytest.mark.parametrize("right_bc", RIGHT_BCS)
+    def test_at_never_writes_into_the_pencil(self, right_bc):
+        mesh = Mesh1D(50.0, 10)
+        p = pencil(mesh, MARKET, right_bc)
+        before = [p.S.copy(), p.M.copy(), p.load.copy(),
+                  *(b.copy() for _, b in p.robin)]
+        p.at(2.0 + 3.0j)
+        bands, rhs = p.at(0.5 - 7.0j)
+        for got, want in zip([p.S, p.M, p.load, *(b for _, b in p.robin)],
+                             before, strict=True):
+            assert np.array_equal(got, want)
+        fresh_bands, fresh_rhs = pencil(mesh, MARKET, right_bc).at(0.5 - 7.0j)
+        assert np.array_equal(bands, fresh_bands)
+        assert np.array_equal(rhs, fresh_rhs)
 
     def test_unknown_right_bc_rejected(self):
         with pytest.raises(ValueError, match="neumann0") as err:
@@ -228,6 +247,45 @@ class TestSolve:
         u_d = solve(pencil(mesh, big).at(z))
         i = 100  # x = 50
         assert abs(u_r[i] - u_d[i]) < 1e-8 * abs(u_d[i])
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    @pytest.mark.parametrize("right_bc", RIGHT_BCS)
+    def test_rows_equal_solve_banded_at_every_contour_node(self, example,
+                                                          right_bc):
+        # the direct ?gtsv call is the routine solve_banded((1, 1), ...)
+        # runs, so every row is the same to the bit
+        cfg = default_config(example)
+        p = pencil(Mesh1D(cfg.L, 640), cfg.market(), right_bc)
+        for z in quadrature_nodes(cfg.contour(15))[0]:
+            bands, rhs = p.at(z)
+            assert np.array_equal(solve((bands, rhs)),
+                                  solve_banded((1, 1), bands, rhs))
+
+    def test_real_bands_give_a_real_solution(self):
+        p = pencil(Mesh1D(50.0, 40), MARKET)
+        bands = p.S + 2.0 * p.M
+        rhs = p.load.copy()
+        rhs[p.fixed] = p.values(2.0)
+        u = solve((bands, rhs))
+        assert u.dtype == np.float64
+        assert np.array_equal(u, solve_banded((1, 1), bands, rhs))
+        assert np.array_equal(u, solve(p.at(2.0)).real)
+
+    @pytest.mark.parametrize("bands, row", [
+        (np.zeros((3, 4), dtype=complex), 1),
+        # rows 1 and 2 equal: the second pivot is exactly 0
+        (np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]), 2),
+    ], ids=["zero", "second-row"])
+    def test_zero_pivot_raises_naming_the_row(self, bands, row):
+        with pytest.raises(np.linalg.LinAlgError, match=f"at row {row}$"):
+            solve((bands, np.ones(len(bands[1]), dtype=bands.dtype)))
+
+    def test_residual_guard_trips_on_a_wrong_solution(self, monkeypatch):
+        # a singular system now stops at its zero pivot, so feed the guard
+        # a finite solution that does not solve the system
+        monkeypatch.setattr(fem1d, "_gtsv", lambda bands, rhs: 1.0 + 0 * rhs)
+        with pytest.raises(RuntimeError, match="residual too large"):
+            solve(pencil(Mesh1D(50.0, 10), MARKET).at(2.0))
 
     def test_solve_residual_guard(self):
         bands = np.zeros((3, 4), dtype=complex)

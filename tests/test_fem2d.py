@@ -418,6 +418,23 @@ class TestPencil:
         assert np.all(e.data == 1.0)
         assert np.all(np.diff(e.indptr) == 1)
 
+    def test_at_never_writes_into_the_pencil(self):
+        # a sparse += makes a new matrix, so S, M and each B_k stay put
+        mesh = Mesh2D(300.0, 300.0, 4, 4)
+        edges = EdgeSpec(x1_far="transparent")
+        p = pencil(mesh, MIRRORED, edges)
+        before = [x.copy() for x in (p.S, p.M, *(b for _, b in p.robin))]
+        load = p.load.copy()
+        p.at(2.0 + 1.0j)
+        a, rhs = p.at(0.5 - 7.0j)
+        for got, want in zip((p.S, p.M, *(b for _, b in p.robin)), before,
+                             strict=True):
+            assert (got != want).nnz == 0
+        np.testing.assert_array_equal(p.load, load)
+        fresh, fresh_rhs = pencil(mesh, MIRRORED, edges).at(0.5 - 7.0j)
+        assert (a != fresh).nnz == 0
+        np.testing.assert_array_equal(rhs, fresh_rhs)
+
     def test_transparent_edges_sit_at_the_mesh_domain(self):
         # the Robin terms take L from the mesh, whatever the basket says
         mesh = Mesh2D(150.0, 150.0, 32, 32)
