@@ -284,13 +284,12 @@ def reference_solution(cfg, rebuild=False):
                 raise ValueError(f"reference cache {path} was built for "
                                  f"other basket data: {wrong} differ")
             values = data["values"]
-        if values.shape != (mesh.n_nodes,) or not np.isfinite(values).all():
+        if values.shape != (len(mesh),) or not np.isfinite(values).all():
             raise ValueError(f"reference cache {path} does not hold the "
-                             f"{mesh.n_nodes} finite values of its grid")
+                             f"{len(mesh)} finite values of its grid")
         return values, mesh
-    basket = replace(cfg.basket(), L1=600.0, L2=600.0)
     steps = int(round(cfg.maturity / 0.02))
-    values = cn.march2d(mesh, basket, cn.MarchConfig(steps))
+    values = cn.march2d(mesh, cfg.basket(), cn.MarchConfig(steps))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     np.savez_compressed(path, values=values,
                         **{k: getattr(cfg, k) for k in _REFERENCE_KEYS})

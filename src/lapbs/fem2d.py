@@ -59,7 +59,7 @@ class Basket2D:
 
 
 class Mesh2D:
-    """Uniform (m1+1) x (m2+1) tensor grid, node k = j*(m1+1) + i."""
+    """Uniform (m1+1) x (m2+1) grid of len(mesh) nodes, k = j*(m1+1) + i."""
 
     def __init__(self, L1, L2, m1, m2):
         _require_count("m1", m1, 1, "element per side")
@@ -71,10 +71,8 @@ class Mesh2D:
         self.h2 = self.L2 / self.m2
         self.x1 = np.linspace(0.0, self.L1, self.m1 + 1)
         self.x2 = np.linspace(0.0, self.L2, self.m2 + 1)
-        self.x1g, self.x2g = np.meshgrid(self.x1, self.x2)
 
-    @property
-    def n_nodes(self):
+    def __len__(self):
         return (self.m1 + 1) * (self.m2 + 1)
 
 
@@ -154,7 +152,7 @@ def build_matrices(mesh, basket, u0):
                 mass[k][at] += mass_el[a, b]
     indices, indptr, where = _stencil_pattern(m1, m2)
     csr = lambda x: csr_matrix((x.ravel()[where], indices, indptr),
-                               shape=(mesh.n_nodes,) * 2)
+                               shape=(len(mesh),) * 2)
     return csr(spatial), csr(mass), load.ravel()
 
 
@@ -207,7 +205,7 @@ def pencil(mesh, basket, edges):
     times its solution solves the whole grid."""
     u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
     spatial, mass, load = build_matrices(mesh, basket, u0)
-    n = mesh.n_nodes
+    n = len(mesh)
     nodes = _far_nodes(mesh)
     free = np.ones(n, dtype=bool)
     for edge, idx in nodes.items():
@@ -361,9 +359,9 @@ def _nodal(name, values, mesh):
     """values as the (m2+1, m1+1) node grid; ValueError unless it has one
     entry per mesh node."""
     v = np.asarray(values)
-    if v.size != mesh.n_nodes:
+    if v.size != len(mesh):
         raise ValueError(f"{name} has {v.size} entries but the mesh has "
-                         f"{mesh.n_nodes} nodes")
+                         f"{len(mesh)} nodes")
     return v.reshape(mesh.m2 + 1, mesh.m1 + 1)
 
 

@@ -104,10 +104,6 @@ class ProblemSpec:
             return fem1d.Mesh1D(self.market.L, self.m)
         return fem2d.Mesh2D(self.market.L1, self.market.L2, self.m, self.m)
 
-    def nodes(self):
-        """The mesh's node count: the length of one ensemble row."""
-        return (self.m + 1) ** (1 if self.kind == "put1d" else 2)
-
     def pencil(self):
         """The z-independent pieces, built once per problem."""
         if self.kind == "put1d":
@@ -258,7 +254,7 @@ def solve_ensemble(spec, contour, workers=1):
     groups = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     size = math.ceil(len(groups) / workers)
     chunks = [groups[i:i + size] for i in range(0, len(groups), size)]
-    shape = (len(zs), spec.nodes())   # one row per node
+    shape = (len(zs), len(spec.mesh()))   # one row per node
     if len(chunks) == 1:   # nothing forks
         rows = np.empty(shape, complex)
     else:   # in memory the forked workers share with the caller

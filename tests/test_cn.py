@@ -102,7 +102,8 @@ class TestMarch2D:
         spatial, mass, load = fem2d.build_matrices(
             mesh, basket,
             lambda x1, x2: fem2d.payoff_basket_maxput(x1, x2, basket.strike))
-        far = (mesh.x1g.ravel() == mesh.L1) | (mesh.x2g.ravel() == mesh.L2)
+        x1, x2 = np.meshgrid(mesh.x1, mesh.x2)
+        far = (x1.ravel() == mesh.L1) | (x2.ravel() == mesh.L2)
         keep = np.flatnonzero(~far)
         restrict = lambda x: x[keep][:, keep].tocsc()
         lu = splu(restrict(spatial + (2.0 / dt) * mass))
@@ -110,11 +111,13 @@ class TestMarch2D:
         u = splu(restrict(mass)).solve(load[keep])
         for _ in range(config.steps):
             u = lu.solve(rhs_op @ u)
-        want = np.zeros(mesh.n_nodes)
+        want = np.zeros(len(mesh))
         want[keep] = u
         got = cn.march2d(mesh, basket, config)
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
+        # the domain comes from the mesh: the basket's L1 and L2 are unread
+        assert np.array_equal(cn.march2d(mesh, BASKET, config), got)
 
     def test_matches_default_splu_march(self):
         self.check_against_natural_order_march(
@@ -123,6 +126,10 @@ class TestMarch2D:
     def test_matches_default_splu_march_non_square(self):
         self.check_against_natural_order_march(
             fem2d.Mesh2D(300.0, 150.0, 24, 12))
+
+    def test_matches_default_splu_march_on_the_reference_domain(self):
+        self.check_against_natural_order_march(
+            fem2d.Mesh2D(600.0, 600.0, 32, 32))
 
     def test_mirrored_basket_gives_the_transposed_field(self):
         # a11 != a22: swapping them mirrors the problem across x1 = x2

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu, spsolve
 from lapbs import fem2d
 from lapbs.contour import quadrature_nodes
 from lapbs.experiments import EX3_CONTOUR
-from lapbs.fem1d import RIGHT_BCS, robin_coefficient
+from lapbs.fem1d import RIGHT_BCS, Mesh1D, robin_coefficient
 from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass,
                          build_matrices, factor, interpolate_p1,
                          nested_dissection, payoff_basket_maxput, pencil,
@@ -26,14 +26,32 @@ def payoff(x1, x2):
     return payoff_basket_maxput(x1, x2, BASKET.strike)
 
 
+def grid(mesh):
+    """The mesh's node coordinates as two (m2+1, m1+1) arrays."""
+    return np.meshgrid(mesh.x1, mesh.x2)
+
+
 class TestMeshAndPayoff:
     def test_node_layout(self):
         mesh = Mesh2D(300.0, 150.0, 3, 2)
-        assert mesh.n_nodes == 12
+        assert len(mesh) == 12
         assert mesh.h1 == 100.0 and mesh.h2 == 75.0
         # node k = j*(m1+1) + i
-        assert mesh.x1g.ravel()[2 * 4 + 3] == 300.0
-        assert mesh.x2g.ravel()[2 * 4 + 3] == 150.0
+        assert grid(mesh)[0].ravel()[2 * 4 + 3] == 300.0
+        assert grid(mesh)[1].ravel()[2 * 4 + 3] == 150.0
+
+    @pytest.mark.parametrize("mesh, nodes", [
+        (Mesh1D(200.0, 40), 41),
+        (Mesh2D(300.0, 150.0, 24, 12), 25 * 13),
+    ], ids=["1d", "2d"])
+    def test_len_is_the_node_count(self, mesh, nodes):
+        assert len(mesh) == nodes
+
+    def test_stores_no_node_grid(self):
+        # the node coordinates are the axes' tensor product, never stored
+        mesh = Mesh2D(300.0, 150.0, 24, 12)
+        arrays = [v for v in vars(mesh).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.ndim == 1 for a in arrays)
 
     def test_payoff(self):
         got = payoff_basket_maxput(np.array([0.0, 50.0, 120.0]),
@@ -100,20 +118,20 @@ class TestBuildMatrices:
 
     def test_mass_energy_linear_field(self):
         # int x1^2 over the square = L^4 / 3
-        u = self.mesh.x1g.ravel()
+        u = grid(self.mesh)[0].ravel()
         assert u @ (self.mass @ u) == pytest.approx(self.L**4 / 3.0)
 
     def test_spatial_energy_diagonal(self):
         # v = u = x1: (1/2)a11 int x1^2 + c1 int x1*x1 + r int x1^2
-        u = self.mesh.x1g.ravel()
+        u = grid(self.mesh)[0].ravel()
         c1 = BASKET.a11 + 0.5 * BASKET.a12 - BASKET.r
         want = (0.5 * BASKET.a11 + c1 + BASKET.r) * self.L**4 / 3.0
         assert u @ (self.spatial @ u) == pytest.approx(want)
 
     def test_spatial_energy_cross(self):
         # trial u = x1, test v = x2 isolates the a12 split and convection
-        u = self.mesh.x1g.ravel()
-        v = self.mesh.x2g.ravel()
+        u = grid(self.mesh)[0].ravel()
+        v = grid(self.mesh)[1].ravel()
         c1 = BASKET.a11 + 0.5 * BASKET.a12 - BASKET.r
         want = (0.5 * BASKET.a12 * (self.L**2 / 2.0) ** 2 / self.L**4
                 + 0.25 * c1 + 0.25 * BASKET.r) * self.L**4
@@ -149,7 +167,7 @@ def element_matrices(mesh, basket, u0):
     coordinates, scattered through COO.  The reference the stencil fill
     is checked against."""
     tris = _triangles(mesh)
-    coords = np.stack([mesh.x1g.ravel(), mesh.x2g.ravel()], axis=1)
+    coords = np.stack([x.ravel() for x in grid(mesh)], axis=1)
     p = coords[tris]  # (nt, 3, 2)
     nt = len(tris)
 
@@ -202,7 +220,7 @@ def element_matrices(mesh, basket, u0):
 
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    n = mesh.n_nodes
+    n = len(mesh)
     spatial = coo_matrix((el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     mass = coo_matrix((mass_el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
@@ -311,7 +329,7 @@ class TestStencilPattern:
         for build in (build_matrices, element_matrices):
             monkeypatch.setattr(fem2d, "build_matrices", build)
             p = pencil(mesh, BASKET, EdgeSpec())
-            assert p.expand.shape[1] < mesh.n_nodes // 2   # folded
+            assert p.expand.shape[1] < len(mesh) // 2   # folded
             lu = factor(p.at(z)[0])
             fills.append(lu.L.nnz + lu.U.nnz)
         assert fills[0] == fills[1]
@@ -401,7 +419,7 @@ class TestPencil:
                 if cond == "transparent":
                     c = robin_coefficient(z, basket.r, np.sqrt(a), 300.0)
                     want = want - 0.5 * a * 300.0**2 * c * _edge_mass(
-                        idx, h, mesh.n_nodes)
+                        idx, h, len(mesh))
 
             p = pencil(mesh, basket, edges)
             a, rhs = p.at(z)
@@ -449,7 +467,7 @@ class TestPencil:
 
 def mirror(mesh):
     """Node (i, j) -> node (j, i) of a square grid."""
-    return np.arange(mesh.n_nodes).reshape(mesh.m2 + 1, mesh.m1 + 1).T.ravel()
+    return np.arange(len(mesh)).reshape(mesh.m2 + 1, mesh.m1 + 1).T.ravel()
 
 
 class TestFold:
@@ -460,7 +478,7 @@ class TestFold:
     @pytest.mark.parametrize("m", [16, 128])
     def test_operators_commute_with_the_swap(self, m):
         mesh = Mesh2D(300.0, 300.0, m, m)
-        n = mesh.n_nodes
+        n = len(mesh)
         swap = csr_matrix((np.ones(n), (np.arange(n), mirror(mesh))),
                           shape=(n, n))
         far = fem2d._far_nodes(mesh)
@@ -518,7 +536,7 @@ class TestFold:
     def test_solve_matches_the_whole_grid(self, L, edges, z):
         # the whole grid's system, built by hand on the free nodes
         mesh = Mesh2D(L, L, 32, 32)
-        n = mesh.n_nodes
+        n = len(mesh)
         spatial, mass, load = build_matrices(mesh, BASKET, payoff)
         a = spatial + z * mass
         free = np.ones(n, dtype=bool)
@@ -866,7 +884,7 @@ def interpolation_case(draw):
         return xs[0] if draw(st.booleans()) else np.array(xs)
 
     values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
-        size=mesh.n_nodes)
+        size=len(mesh))
     return (values, mesh, points(m1, mesh.h1, mesh.L1),
             points(m2, mesh.h2, mesh.L2))
 
@@ -874,13 +892,13 @@ def interpolation_case(draw):
 class TestInterpolationAndError:
     def test_reproduces_nodal_values(self):
         mesh = Mesh2D(10.0, 10.0, 5, 5)
-        vals = np.arange(mesh.n_nodes, dtype=float)
+        vals = np.arange(len(mesh), dtype=float)
         got = interpolate_p1(vals, mesh, mesh.x1, mesh.x2)
         np.testing.assert_allclose(got.ravel(), vals)
 
     def test_exact_on_linear_fields(self):
         mesh = Mesh2D(10.0, 10.0, 5, 5)
-        vals = 2.0 * mesh.x1g + 3.0 * mesh.x2g - 1.0
+        vals = 2.0 * grid(mesh)[0] + 3.0 * grid(mesh)[1] - 1.0
         xs = np.linspace(0.3, 9.7, 11)
         got = interpolate_p1(vals.ravel(), mesh, xs, xs)
         want = 2.0 * xs[None, :] + 3.0 * xs[:, None] - 1.0
@@ -896,7 +914,7 @@ class TestInterpolationAndError:
     def test_scalar_points_give_one_by_one(self):
         # as np.meshgrid lays out scalars; (37.5, 75) is node (1, 2)
         mesh = Mesh2D(300.0, 150.0, 8, 4)
-        vals = np.arange(mesh.n_nodes, dtype=float)
+        vals = np.arange(len(mesh), dtype=float)
         got = interpolate_p1(vals, mesh, 37.5, 75.0)
         assert got.shape == (1, 1) and got[0, 0] == 19.0
 
@@ -908,8 +926,8 @@ class TestInterpolationAndError:
     def test_relative_l2_values_count_rejected(self, arg, bad):
         mesh = Mesh2D(300.0, 300.0, 16, 16)
         ref_mesh = Mesh2D(600.0, 600.0, 32, 32)
-        args = dict(values=np.ones(mesh.n_nodes),
-                    ref_values=np.ones(ref_mesh.n_nodes))
+        args = dict(values=np.ones(len(mesh)),
+                    ref_values=np.ones(len(ref_mesh)))
         args[arg] = np.ones(288)
         with pytest.raises(ValueError, match=bad):
             relative_l2(args["values"], mesh, args["ref_values"], ref_mesh,
@@ -918,8 +936,8 @@ class TestInterpolationAndError:
     def test_relative_l2_identical_is_zero(self):
         mesh = Mesh2D(300.0, 300.0, 16, 16)
         ref_mesh = Mesh2D(600.0, 600.0, 64, 64)
-        ref = (1.0 + ref_mesh.x1g + ref_mesh.x2g).ravel()
-        vals = (1.0 + mesh.x1g + mesh.x2g).ravel()
+        ref = (1.0 + grid(ref_mesh)[0] + grid(ref_mesh)[1]).ravel()
+        vals = (1.0 + grid(mesh)[0] + grid(mesh)[1]).ravel()
         got = relative_l2(vals, mesh, ref, ref_mesh, 300.0, 300.0)
         assert got < 1e-13
 
@@ -927,8 +945,8 @@ class TestInterpolationAndError:
         # u = 1.25 * ref on the window: relative error is exactly 0.25
         mesh = Mesh2D(300.0, 300.0, 16, 16)
         ref_mesh = Mesh2D(600.0, 600.0, 64, 64)
-        ref = (1.0 + ref_mesh.x1g).ravel()
-        vals = 1.25 * (1.0 + mesh.x1g).ravel()
+        ref = (1.0 + grid(ref_mesh)[0]).ravel()
+        vals = 1.25 * (1.0 + grid(mesh)[0]).ravel()
         got = relative_l2(vals, mesh, ref, ref_mesh, 300.0, 300.0)
         assert got == pytest.approx(0.25, rel=1e-12)
 
@@ -940,7 +958,7 @@ class TestInterpolationAndError:
     def test_point_outside_domain_rejected(self, x1, x2, bad):
         mesh = Mesh2D(300.0, 150.0, 8, 4)
         with pytest.raises(ValueError, match=bad):
-            interpolate_p1(np.zeros(mesh.n_nodes), mesh, x1, x2)
+            interpolate_p1(np.zeros(len(mesh)), mesh, x1, x2)
 
     @pytest.mark.parametrize("L1, L2, bad", [
         (150.5, 150.0, "window L1 = 150.5 is not a whole number"),
@@ -954,14 +972,14 @@ class TestInterpolationAndError:
         mesh = Mesh2D(300.0, 300.0, 16, 16)
         ref_mesh = Mesh2D(600.0, 600.0, 64, 64)
         with pytest.raises(ValueError, match=bad):
-            relative_l2(np.ones(mesh.n_nodes), mesh,
-                        np.ones(ref_mesh.n_nodes), ref_mesh, L1, L2)
+            relative_l2(np.ones(len(mesh)), mesh,
+                        np.ones(len(ref_mesh)), ref_mesh, L1, L2)
 
     def test_relative_l2_window_on_a_grid_line_to_rounding(self):
         mesh = Mesh2D(300.0, 300.0, 16, 16)
         ref_mesh = Mesh2D(600.0, 600.0, 64, 64)
-        ref = (1.0 + ref_mesh.x1g).ravel()
-        vals = 1.25 * (1.0 + mesh.x1g).ravel()
+        ref = (1.0 + grid(ref_mesh)[0]).ravel()
+        vals = 1.25 * (1.0 + grid(mesh)[0]).ravel()
         for L in (150.0, 150.0 * (1 + 1e-13), 150.0 * (1 - 1e-13)):
             got = relative_l2(vals, mesh, ref, ref_mesh, L, L)
             assert got == pytest.approx(0.25, rel=1e-12)
@@ -976,5 +994,5 @@ class TestInterpolationAndError:
         mesh = Mesh2D(300.0, 150.0, 16, 8)
         ref_mesh = Mesh2D(ref_L, ref_L, 32, 32)
         with pytest.raises(ValueError, match=bad):
-            relative_l2(np.ones(mesh.n_nodes), mesh,
-                        np.ones(ref_mesh.n_nodes), ref_mesh, L1, L2)
+            relative_l2(np.ones(len(mesh)), mesh,
+                        np.ones(len(ref_mesh)), ref_mesh, L1, L2)

@@ -30,7 +30,7 @@ class TestProblemSpec:
         assert len(s1.mesh()) == 41
         s2 = ProblemSpec("basket2d", BASKET, 16, edges=fem2d.EdgeSpec())
         assert isinstance(s2.mesh(), fem2d.Mesh2D)
-        assert s2.mesh().n_nodes == 17 * 17
+        assert len(s2.mesh()) == 17 * 17
 
     @pytest.mark.parametrize("kwargs, bad, allowed", [
         ({"kind": "put1D", "market": MARKET}, "'put1D'", "basket2d"),
@@ -158,8 +158,11 @@ class TestSolveEnsemble:
     def test_ensemble_shape_and_nodes(self):
         spec = ProblemSpec("put1d", MARKET, 40)
         ens, _ = solve_ensemble(spec, C15, workers=1)
-        assert ens.values.shape == (15, 41)
+        assert ens.values.shape == (15, 41) == (15, len(spec.mesh()))
         assert np.array_equal(ens.z, quadrature_nodes(C15)[0])
+        spec = ProblemSpec("basket2d", BASKET, 16, edges=fem2d.EdgeSpec())
+        ens, _ = solve_ensemble(spec, C15, workers=1)
+        assert ens.values.shape == (15, 17 * 17) == (15, len(spec.mesh()))
 
     @pytest.mark.parametrize("right_bc", ["dirichlet0", "transparent"])
     def test_1d_rows_are_solves_at_python_complex_nodes(self, right_bc):
