@@ -11,11 +11,11 @@ the axes, 0 at the far edges).  In 1D the Dirichlet rows are eliminated
 in the pencil, and each step pins the end values; the factor is LAPACK's
 tridiagonal LU (``dgttrf``/``dgttrs``), and the initial projection is one
 ``dgtsv`` call by ``fem1d._gtsv``, as each Laplace node's solve is.  In 2D
-the march runs in the pencil's own unknowns, which leave out the far-edge
-nodes and, for swap-symmetric data, fold each node (i, j), i < j, onto its
-mirror (j, i), and returns ``expand`` of the result; both LUs, the projection
-and then the step matrix, come from ``fem2d.factor``, as the Laplace
-nodes' do, and the first is freed before the second is made.
+the march runs in the pencil's unknowns and returns ``expand`` of the
+result; its one LU is the step matrix's, by ``fem2d.factor``, and the
+projection is solved by conjugate gradients preconditioned with M's
+diagonal D: a P1 mass matrix scaled by D has its eigenvalues in [1/2, 2]
+on any triangulation (Wathen, IMA J. Numer. Anal. 7, 1987).
 """
 
 from dataclasses import dataclass
@@ -56,22 +56,51 @@ def march1d(mesh, market, config):
     b = p.load.copy()
     b[p.fixed] = ends(0.0)
     u = fem1d._gtsv(proj, b)
+    # fem1d._residual into two rows made once: they take turns as a step's
+    # right side, which dgttrs overwrites with its solution, and as its u
+    up, main, low = rhs_op[0, 1:], rhs_op[1], rhs_op[2, :-1]
+    part, rows = np.empty(len(up)), np.array([b, u])
+    views = [(x, x[:-1], x[1:]) for x in rows]
     for n in range(config.steps):
-        b = fem1d._residual(rhs_op, u)
+        (b, b_lo, b_hi), (u, u_lo, u_hi) = views[n % 2], views[1 - n % 2]
+        np.multiply(main, u, out=b)
+        b_lo += np.multiply(up, u_hi, out=part)
+        b_hi += np.multiply(low, u_lo, out=part)
         b[p.fixed] = ends((n + 1) * dt)
-        u = dgttrs(*lu, b)[0]
-    return u
+        dgttrs(*lu, b, overwrite_b=True)
+    return b.copy()
 
 
 def march2d(mesh, basket, config):
     """Crank-Nicolson for the basket put on the triangulated grid."""
     p = fem2d.pencil(mesh, basket, fem2d.EdgeSpec())
     dt = basket.maturity / config.steps
-    # L2-projected initial data, matching the 1D march; M's LU is freed
-    # here, so two LUs are never alive at once
-    u = fem2d.factor(p.M).solve(p.load)
-    lu = fem2d.factor(p.S + (2.0 / dt) * p.M)
-    rhs_op = ((2.0 / dt) * p.M - p.S).tocsr()
+    on_pattern = lambda data: type(p.M)((data, p.M.indices, p.M.indptr),
+                                        shape=p.M.shape)
+    u = _project(p.M, p.load)   # L2-projected initial data, as in 1D
+    lu = fem2d.factor(on_pattern(p.S.data + (2.0 / dt) * p.M.data))
+    rhs_op = on_pattern((2.0 / dt) * p.M.data - p.S.data)
     for _ in range(config.steps):
         u = lu.solve(rhs_op @ u)
     return p.expand @ u
+
+
+def _project(mass, b):
+    """u with mass @ u = b, by Jacobi-preconditioned CG from D^-1 b, to
+    ||r|| <= 1e-14 ||b|| or for 100 steps; RuntimeError unless the true
+    residual ||mass @ u - b|| is at most 1e-12 ||b||."""
+    d, tol = mass.diagonal(), 1e-14 * np.linalg.norm(b)
+    u, r = b / d, b - mass @ (b / d)
+    p, rz = r / d, r @ (r / d)
+    for _ in range(100):
+        if not np.linalg.norm(r) > tol:   # a NaN stops too
+            break
+        q = mass @ p
+        alpha = rz / (p @ q)
+        u, r = u + alpha * p, r - alpha * q
+        rz, last = r @ (r / d), rz
+        p = r / d + (rz / last) * p
+    res = np.linalg.norm(mass @ u - b)
+    if not res <= 100 * tol:
+        raise RuntimeError(f"mass projection residual {res:g} > {100*tol:g}")
+    return u

@@ -120,14 +120,15 @@ _GAUSS_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
 def _load_vector(mesh, u0, kink=None):
     """(u0, phi_i) for all basis functions, each element integral split at
     clip(kink, a, b) so piecewise-polynomial payoffs integrate exactly."""
-    a, b = mesh.x[:-1, None], mesh.x[1:, None]
-    c = b if kink is None else np.clip(kink, a, b)
+    x = mesh.x[:, None]
+    c = x[1:] if kink is None else np.clip(kink, x[:-1], x[1:])
     rhs = np.zeros(len(mesh))
-    for lo, hi in ((a, c), (c, b)):
-        pts = lo + (hi - lo) * _GAUSS_X
-        f = u0(pts) * ((hi - lo) * _GAUSS_W)
-        rhs[:-1] += np.sum(f * (b - pts), axis=1) / mesh.h
-        rhs[1:] += np.sum(f * (pts - a), axis=1) / mesh.h
+    for lo, hi in ((x[:-1], c), (c, x[1:])):
+        e = np.flatnonzero(hi > lo)   # a half of zero width adds exact 0s
+        pts = lo[e] + (hi[e] - lo[e]) * _GAUSS_X
+        f = u0(pts) * ((hi[e] - lo[e]) * _GAUSS_W)
+        rhs[e] += np.sum(f * (x[e + 1] - pts), axis=1) / mesh.h
+        rhs[e + 1] += np.sum(f * (pts - x[e]), axis=1) / mesh.h
     return rhs
 
 
@@ -141,11 +142,9 @@ class Pencil:
     three diagonals: row 0 the upper (``[0, j]`` is A[j-1, j]), row 1 the
     main and row 2 the lower (``[2, j]`` is A[j+1, j]), with the Dirichlet
     rows eliminated (identity rows in S, zero rows in M and in each B_k).
-    In 2D every Dirichlet value is 0, so they are CSC over the pencil's own
-    unknowns, the nodes it keeps in nested-dissection order, and nothing is
-    pinned; ``expand`` maps a solution back to the nodes (1D leaves it
-    unset).
-    Crank-Nicolson steps with S + (2/dt)*M.
+    In 2D every Dirichlet value is 0, so they are CSC on one shared pattern
+    over the pencil's own unknowns, and nothing is pinned; ``expand`` maps
+    a solution back to the nodes.  Crank-Nicolson steps with S + (2/dt)*M.
     """
 
     S: object
@@ -158,12 +157,20 @@ class Pencil:
 
     def at(self, z):
         """(A(z), rhs) at one shift z, as ``solve`` takes it.  A(z) is one
-        new array, summed in place; the pencil is never written (a sparse
-        ``+=`` makes a new matrix)."""
-        a = complex(z) * self.M
-        a += self.S
-        for c, b in self.robin:
-            a += c(z) * b
+        new array, summed in place, so the pencil is never written; in 2D
+        it sums the data on the pattern S, M and each B_k share."""
+        if self.expand is None:   # a 1D Robin band's one entry is [1, -1]
+            a = complex(z) * self.M
+            a += self.S
+            for c, b in self.robin:
+                a[1, -1] += c(z) * b[1, -1]
+        else:
+            data = complex(z) * self.M.data
+            data += self.S.data
+            for c, b in self.robin:
+                data += c(z) * b.data
+            a = type(self.M)((data, self.M.indices, self.M.indptr),
+                             shape=self.M.shape)
         rhs = self.load.astype(complex)
         rhs[self.fixed] = self.values(z)
         return a, rhs

@@ -201,36 +201,66 @@ def pencil(mesh, basket, edges):
     unknowns) holds 1/sqrt(2) at a node and at its mirror (j, i), or 1 at
     a node on the diagonal, so its columns are orthonormal; other data
     keep one node, at 1, a column.  The pencil is expand^T S expand,
-    expand^T M expand, expand^T B_k expand with load expand^T b; expand
-    times its solution solves the whole grid."""
-    u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
-    spatial, mass, load = build_matrices(mesh, basket, u0)
-    n = len(mesh)
+    expand^T M expand, expand^T B_k expand with load expand^T b, each
+    matrix folded by ``_fold``'s gather onto one shared CSC pattern;
+    expand times its solution solves the whole grid."""
+    m1, m2, n = mesh.m1, mesh.m2, len(mesh)
     nodes = _far_nodes(mesh)
     free = np.ones(n, dtype=bool)
     for edge, idx in nodes.items():
         free[idx] &= getattr(edges, edge) != "dirichlet0"
-    grid = np.arange(n).reshape(mesh.m2 + 1, mesh.m1 + 1)   # rows j
-    keep, mirror = free.reshape(grid.shape), grid
-    if (mesh.m1 == mesh.m2 and mesh.L1 == mesh.L2
-            and basket.a11 == basket.a22 and edges.x1_far == edges.x2_far):
-        keep, mirror = np.triu(keep), grid.T   # (j, i) joins (i, j), i > j
-    unknowns = nested_dissection(keep)
-    twins = mirror.ravel()[unknowns]
-    pair = twins != unknowns
-    rows = np.r_[unknowns, twins[pair]]
-    cols = np.r_[np.arange(len(unknowns)), np.flatnonzero(pair)]
-    weight = np.where(pair, np.sqrt(0.5), 1.0)   # orthonormal columns
-    expand = csc_matrix((np.r_[weight, weight[pair]], (rows, cols)),
-                        shape=(n, len(unknowns)))
-    restrict = lambda x: (expand.T @ x @ expand).tocsc()
-    robin = tuple(
-        (_robin_term(basket.r, a, L), restrict(_edge_mass(nodes[edge], h, n)))
+    mirrored = (m1 == m2 and mesh.L1 == mesh.L2
+                and basket.a11 == basket.a22 and edges.x1_far == edges.x2_far)
+    keep = free.reshape(m2 + 1, m1 + 1)   # rows j; (j, i) joins (i, j), i > j
+    unknowns = nested_dissection(np.triu(keep) if mirrored else keep)
+    expand, (indices, indptr), (src, dst, weight) = _fold(
+        m1, m2, unknowns.tobytes(), mirrored)
+    u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
+    spatial, mass, load = build_matrices(mesh, basket, u0)
+    fold = lambda data: csc_matrix(
+        (np.bincount(dst, weight * data[src], len(indices)), indices, indptr),
+        shape=expand.shape[1:] * 2)
+    stencil, _, where = _stencil_pattern(m1, m2)
+    robin = tuple(   # each edge mass's entries are stencil entries
+        (_robin_term(basket.r, a, L), fold(np.asarray(
+            _edge_mass(nodes[edge], h, n)[where % n, stencil]).ravel()))
         for edge, a, L, h in (("x1_far", basket.a11, mesh.L1, mesh.h2),
                               ("x2_far", basket.a22, mesh.L2, mesh.h1))
         if getattr(edges, edge) == "transparent")
-    return Pencil(restrict(spatial), restrict(mass), expand.T @ load,
+    return Pencil(fold(spatial.data), fold(mass.data), expand.T @ load,
                   np.empty(0, dtype=int), lambda z: 0.0, robin, expand)
+
+
+@functools.lru_cache(maxsize=None)
+def _fold(m1, m2, order, mirrored):
+    """``expand`` onto the unknowns ``order`` (node indices, as bytes), each
+    node (i, j), i < j, joined to its mirror if ``mirrored``; the folded CSC
+    (indices, indptr); and the gather (src, dst, weight) that folds data x
+    on ``_stencil_pattern`` to bincount(dst, weight * x[src]), as
+    expand^T X expand.  Cached, so the arrays are read-only."""
+    n, unknowns = (m1 + 1) * (m2 + 1), np.frombuffer(order, dtype=int)
+    nu, grid = len(unknowns), np.arange(n).reshape(m2 + 1, m1 + 1)
+    twin = (grid.T if mirrored else grid).ravel()
+    col = np.full(n, -1)   # each node's unknown
+    col[unknowns] = col[twin[unknowns]] = np.arange(nu)
+    w = np.where(twin == grid.ravel(), 1.0, np.sqrt(0.5))   # orthonormal
+    kept = np.flatnonzero(col >= 0)
+    expand = csc_matrix((w[kept], (kept, col[kept])), shape=(n, nu))
+    indices, _, where = _stencil_pattern(m1, m2)
+    k = (where % n).astype(np.int32)   # each stencil entry's row node
+    src = np.flatnonzero((col[k] >= 0) & (col[indices] >= 0)).astype(np.int32)
+    k, l = k[src], indices[src]
+    # the folded entries' column-major keys: CSC order, rows ascending; k
+    # and l go first, as the sort's temporaries set the pencil's peak memory
+    weight, keys = w[k] * w[l], col[l] * nu + col[k]
+    del k, l
+    keys, dst = np.unique(keys, return_inverse=True)
+    folded = ((keys % nu).astype(np.int32),
+              np.searchsorted(keys, np.arange(nu + 1) * nu).astype(np.int32))
+    gather = src, dst.astype(np.int32), weight
+    for x in (expand.data, expand.indices, expand.indptr, *folded, *gather):
+        x.flags.writeable = False
+    return expand, folded, gather
 
 
 def nested_dissection(keep):

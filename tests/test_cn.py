@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from lapbs import cn, fem1d, fem2d
@@ -82,6 +83,26 @@ class TestMarch1D:
             u = solve_banded((1, 1), p.S + (2.0 / dt) * p.M, b)
         got = cn.march1d(mesh, MARKET, cn.MarchConfig(steps))
         np.testing.assert_allclose(got, u, rtol=1e-13, atol=1e-13)
+
+    def test_step_buffers_match_the_residual_loop_exactly(self):
+        # the march writes each right side into two buffers made once; the
+        # reference makes fem1d._residual's fresh arrays every step
+        mesh = fem1d.Mesh1D(200.0, 640)
+        p = fem1d.pencil(mesh, MARKET)
+        dt = MARKET.maturity / 640
+        lhs = p.S + (2.0 / dt) * p.M
+        *lu, _ = dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
+        proj = p.M.copy()
+        proj[1, [0, -1]] = 1.0
+        b = p.load.copy()
+        b[[0, -1]] = MARKET.strike, 0.0
+        u = fem1d._gtsv(proj, b)
+        for n in range(1, 641):
+            b = fem1d._residual((2.0 / dt) * p.M - p.S, u)
+            b[[0, -1]] = MARKET.strike * np.exp(-MARKET.r * n * dt), 0.0
+            u = dgttrs(*lu, b)[0]
+        got = cn.march1d(mesh, MARKET, cn.MarchConfig(640))
+        assert np.array_equal(got, u)
 
     def test_boundary_values_imposed(self):
         mesh = fem1d.Mesh1D(200.0, 80)
@@ -164,3 +185,88 @@ class TestMarch2D:
         assert np.max(u) <= BASKET.strike + 1e-9
         # small kink undershoot is expected of Crank-Nicolson on coarse grids
         assert np.min(u) >= -1e-3 * BASKET.strike
+
+
+class Counting:
+    """A matrix that counts its products with vectors."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+def lu_projection(mass, b):
+    return fem2d.factor(mass).solve(b)
+
+
+class TestProjection:
+    """The 2D march projects the payoff by Jacobi-preconditioned CG on the
+    pencil's M, so its one LU is the step matrix's."""
+
+    @pytest.mark.parametrize("mesh, basket", [
+        (fem2d.Mesh2D(300.0, 300.0, 16, 16), BASKET),
+        (fem2d.Mesh2D(600.0, 600.0, 32, 32), BASKET),
+        (fem2d.Mesh2D(300.0, 150.0, 24, 12), BASKET),
+        (fem2d.Mesh2D(300.0, 300.0, 24, 24), replace(BASKET, a22=0.04)),
+        (fem2d.Mesh2D(300.0, 300.0, 128, 128), BASKET),
+    ], ids=["16", "32_on_600", "24x12", "mirrored", "128"])
+    def test_matches_the_lu_solve(self, mesh, basket):
+        p = fem2d.pencil(mesh, basket, fem2d.EdgeSpec())
+        want = lu_projection(p.M, p.load)
+        got = cn._project(p.M, p.load)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_steps_do_not_grow_with_the_mesh(self):
+        # the Jacobi-scaled mass matrix is uniformly well conditioned
+        products = []
+        for m in (16, 32, 64, 128):
+            p = fem2d.pencil(fem2d.Mesh2D(300.0, 300.0, m, m), BASKET,
+                             fem2d.EdgeSpec())
+            mass = Counting(p.M)
+            cn._project(mass, p.load)
+            products.append(mass.products)
+        assert max(products) <= 40
+        assert max(products) - min(products) <= 4
+
+    def test_nan_load_raises(self):
+        p = fem2d.pencil(fem2d.Mesh2D(300.0, 300.0, 8, 8), BASKET,
+                         fem2d.EdgeSpec())
+        load = p.load.copy()
+        load[3] = np.nan
+        with pytest.raises(RuntimeError, match="residual"):
+            cn._project(p.M, load)
+
+    def test_zero_load_gives_zeros(self):
+        p = fem2d.pencil(fem2d.Mesh2D(300.0, 300.0, 8, 8), BASKET,
+                         fem2d.EdgeSpec())
+        mass = Counting(p.M)
+        u = cn._project(mass, np.zeros_like(p.load))
+        assert np.array_equal(u, np.zeros_like(p.load))
+        assert mass.products == 2   # the first residual and the last check
+
+    def test_march_factors_once(self, monkeypatch):
+        calls = []
+        factor = fem2d.factor
+
+        def counted(a):
+            calls.append(a.shape)
+            return factor(a)
+
+        monkeypatch.setattr(fem2d, "factor", counted)
+        cn.march2d(fem2d.Mesh2D(300.0, 300.0, 16, 16), BASKET,
+                   cn.MarchConfig(5))
+        assert calls == [(136, 136)]   # the step matrix, on the folded grid
+
+    @pytest.mark.parametrize("m", [32, 128])
+    def test_march_matches_the_lu_projection_march(self, monkeypatch, m):
+        mesh = fem2d.Mesh2D(300.0, 300.0, m, m)
+        got = cn.march2d(mesh, BASKET, cn.MarchConfig(20))
+        monkeypatch.setattr(cn, "_project", lu_projection)
+        want = cn.march2d(mesh, BASKET, cn.MarchConfig(20))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

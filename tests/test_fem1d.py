@@ -71,6 +71,20 @@ class TestLeftTransform:
             left_dirichlet_transform(-0.05, 50.0, 0.05)
 
 
+def load_both_halves(mesh, u0, kink=None):
+    """``_load_vector`` with 5 Gauss points on both halves of every
+    element, zero-width ones included."""
+    a, b = mesh.x[:-1, None], mesh.x[1:, None]
+    c = b if kink is None else np.clip(kink, a, b)
+    rhs = np.zeros(len(mesh))
+    for lo, hi in ((a, c), (c, b)):
+        pts = lo + (hi - lo) * fem1d._GAUSS_X
+        f = u0(pts) * ((hi - lo) * fem1d._GAUSS_W)
+        rhs[:-1] += np.sum(f * (b - pts), axis=1) / mesh.h
+        rhs[1:] += np.sum(f * (pts - a), axis=1) / mesh.h
+    return rhs
+
+
 class TestAssembleOracle:
     def test_interior_row_frozen_values(self):
         mesh = Mesh1D(50.0, 10)  # h = 5, node 2 sits at x = 10
@@ -97,6 +111,21 @@ class TestAssembleOracle:
                            max(xi - mesh.h, 0.0), min(xi + mesh.h, 50.0),
                            points=[strike])
             assert rhs[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("L, m, kink, u0", [
+        (200.0, 2560, 50.0, lambda x: payoff_put(x, 50.0)),   # ex1
+        (50.0, 2560, 50.0, lambda x: payoff_put(x, 50.0)),    # ex2
+        (50.0, 10, 23.0, lambda x: payoff_put(x, 23.0)),
+        (50.0, 10, 25.0, lambda x: np.maximum(x - 25.0, 0.0)),
+        (50.0, 10, 24.0, lambda x: np.maximum(x - 24.0, 0.0)),
+        (50.0, 10, None, lambda x: x * x),
+    ], ids=["ex1", "ex2", "mid_element", "call_on_node", "call_mid_element",
+            "no_kink"])
+    def test_load_vector_equals_both_halves_everywhere(self, L, m, kink, u0):
+        # the zero-width halves it skips would each add exact zeros
+        mesh = Mesh1D(L, m)
+        assert np.array_equal(_load_vector(mesh, u0, kink),
+                              load_both_halves(mesh, u0, kink))
 
     def test_interior_payoff_load_is_lumped_value(self):
         # away from the kink the P1 load of a linear payoff is h*(K - x_i)
@@ -164,6 +193,18 @@ class TestPencil:
         fresh_bands, fresh_rhs = pencil(mesh, MARKET, right_bc).at(0.5 - 7.0j)
         assert np.array_equal(bands, fresh_bands)
         assert np.array_equal(rhs, fresh_rhs)
+
+    @pytest.mark.parametrize("right_bc", RIGHT_BCS)
+    def test_at_equals_the_whole_band_sum(self, right_bc):
+        # a transparent pencil adds only its Robin band's one entry
+        market = default_config("ex2").market()
+        p = pencil(Mesh1D(market.L, 2560), market, right_bc)
+        for z in quadrature_nodes(default_config("ex2").contour(15))[0]:
+            want = complex(z) * p.M
+            want += p.S
+            for c, b in p.robin:
+                want += c(z) * b
+            assert np.array_equal(p.at(z)[0], want)
 
     def test_unknown_right_bc_rejected(self):
         with pytest.raises(ValueError, match="neumann0") as err:

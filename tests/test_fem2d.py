@@ -569,6 +569,70 @@ class TestFold:
             np.linalg.norm(load[free]), rel=1e-12)
 
 
+TRANSPARENT = EdgeSpec(x1_far="transparent", x2_far="transparent")
+
+
+def whole_grid_matrices(mesh, basket, edges):
+    """S, M and each transparent edge's mass over the whole grid."""
+    spatial, mass, _ = build_matrices(mesh, basket, payoff)
+    far = fem2d._far_nodes(mesh)
+    return [spatial, mass] + [
+        _edge_mass(far[edge], h, len(mesh))
+        for edge, h in (("x1_far", mesh.h2), ("x2_far", mesh.h1))
+        if getattr(edges, edge) == "transparent"]
+
+
+class TestSharedPattern:
+    """S, M and each B_k are folded by one cached gather onto one CSC
+    pattern, so A(z) is a sum of their data arrays."""
+
+    @pytest.mark.parametrize("mesh, basket, edges", [
+        (Mesh2D(300.0, 300.0, 16, 16), BASKET, EdgeSpec()),
+        (Mesh2D(300.0, 175.0, 12, 7), BASKET, EdgeSpec(x1_far="transparent")),
+        (Mesh2D(150.0, 150.0, 64, 64), BASKET, TRANSPARENT),
+        (Mesh2D(300.0, 300.0, 128, 128), BASKET, EdgeSpec()),
+    ], ids=["16", "12x7", "64_transparent", "128"])
+    def test_gather_matches_the_products(self, mesh, basket, edges):
+        p = pencil(mesh, basket, edges)
+        e = p.expand
+        got = [p.S, p.M, *(b for _, b in p.robin)]
+        for x, full_x in zip(got, whole_grid_matrices(mesh, basket, edges),
+                             strict=True):
+            want = e.T @ full_x @ e
+            assert abs(x - want).max() <= 1e-15 * abs(want).max()
+            # explicit zeros kept: every matrix has the pencil's pattern
+            assert x.nnz == p.M.nnz >= want.nnz
+
+    def test_one_read_only_pattern(self):
+        mesh = Mesh2D(150.0, 150.0, 16, 16)
+        p = pencil(mesh, BASKET, TRANSPARENT)
+        again = pencil(mesh, BASKET, TRANSPARENT)
+        assert len(p.robin) == 2
+        for x in (p.S, *(b for _, b in p.robin), p.at(2.0 + 1.0j)[0],
+                  again.S, again.M):
+            for got, want in ((x.indices, p.M.indices),
+                              (x.indptr, p.M.indptr)):
+                assert np.shares_memory(got, want)
+                assert np.array_equal(got, want)
+        for x in (p.M.indices, p.M.indptr, p.expand.data):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1
+
+    @pytest.mark.parametrize("z", [2.0, -8.35 + 12.39j,
+                                   quadrature_nodes(EX3_CONTOUR)[0][7]],
+                             ids=["real", "complex", "node7"])
+    @pytest.mark.parametrize("edges", [EdgeSpec(), TRANSPARENT,
+                                       EdgeSpec(x1_far="transparent")],
+                             ids=["dirichlet", "transparent", "mixed"])
+    def test_at_is_the_sparse_sum(self, edges, z):
+        p = pencil(Mesh2D(150.0, 150.0, 32, 32), BASKET, edges)
+        want = complex(z) * p.M
+        want = want + p.S
+        for c, b in p.robin:
+            want = want + c(z) * b
+        assert np.array_equal(p.at(z)[0].toarray(), want.toarray())
+
+
 SQUARE = (Mesh2D(300.0, 300.0, 32, 32), BASKET)
 NON_SQUARE = (Mesh2D(300.0, 150.0, 24, 12), replace(BASKET, L2=150.0))
 
