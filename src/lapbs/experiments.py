@@ -107,6 +107,10 @@ def load_config(path=None, example=None):
     unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
+    for key, what in (("meshes", "mesh sizes"), ("contours", "contour rows"),
+                      ("worker_sweep", "worker counts")):
+        if not isinstance(data.get(key, []), list):
+            raise ValueError(f"{key} must be a JSON list of {what}")
     for i, row in enumerate(data.get("contours", ())):
         try:
             data["contours"][i] = ContourParams(**row)

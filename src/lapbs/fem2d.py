@@ -156,7 +156,7 @@ def build_matrices(mesh, basket, u0):
     return csr(spatial), csr(mass), load.ravel()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)   # a run's few grids; a 512^2 one is let go
 def _stencil_pattern(m1, m2):
     """CSR (indices, indptr) of the 7-point stencil on the (m1+1) x (m2+1)
     node grid, with every in-grid neighbour, and each entry's place in a
@@ -231,7 +231,7 @@ def pencil(mesh, basket, edges):
                   np.empty(0, dtype=int), lambda z: 0.0, robin, expand)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _fold(m1, m2, order, mirrored):
     """``expand`` onto the unknowns ``order`` (node indices, as bytes), each
     node (i, j), i < j, joined to its mirror if ``mirrored``; the folded CSC
@@ -275,7 +275,7 @@ def nested_dissection(keep):
     return _nested_dissection(keep.shape, keep.tobytes())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _nested_dissection(shape, keep):
     def split(k):   # node indices, ascending
         if len(k) <= 4:

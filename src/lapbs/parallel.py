@@ -2,29 +2,24 @@
 
 Each contour node is a solve at one shift z of the problem's pencil.
 The N nodes are split into four contiguous groups (4, 4, 4, 3 for
-N = 15), fixed by the contour alone; a 2D group is solved by
-``fem2d.solve_shifts`` in the pencil's unknowns (half the grid for
-swap-symmetric data), from one LU and Krylov with Dirichlet edges and
-node by node with a transparent one, and each of its rows leaves the
-group as ``pencil.expand @ x``, over the nodes; a 1D group is solved
-node by node.  The groups are dealt out in contiguous chunks: the
-caller solves the first and a forked worker each other one, so nothing
-forks at one worker.  Each runs the call's own solve, a closure over the
-read-only pencil that a worker inherits through the fork, and writes each
-row in place into one buffer, shared with the workers, so the ensemble is
-bit-identical for any worker count and no row is pickled: a worker sends
-back only a short message through its own pipe.  A pool that loses a
-worker is run once more; the first error a node raises propagates, in
-node order, and the rest of its chunk is not run.
+N = 15), fixed by the contour alone: a 2D group is solved by
+``fem2d.solve_shifts``, a 1D group node by node.  The groups are dealt
+out in contiguous chunks: the caller solves the first and a forked
+worker each other one, so nothing forks at one worker.  Each writes its
+rows in place into one buffer shared with the workers, by the call's own
+solve, a closure over the read-only pencil that a worker inherits through
+the fork; so the ensemble is bit-identical for any worker count, and a
+worker sends back only a short message through its own pipe.  A worker
+that dies or stalls has its chunk solved by the caller; the first node
+error propagates, in node order, and the rest of its chunk is not run.
 
 The nodes are solved with one BLAS thread per process.  numpy's and
 scipy's bundled OpenBLAS each start one thread per CPU, so W workers
 would oversubscribe the CPUs, and even one process factors more slowly
 with them.  Setting the environment is too late once numpy is loaded,
 so each loaded OpenBLAS is set to one thread through ctypes while the
-nodes run and set back to its old count afterwards; the libraries are
-looked up on the first solve.  Without a known BLAS the solves run
-unchanged, and the ``lapbs.parallel`` logger says so once.
+nodes run and set back to its old count afterwards.  Without a known
+BLAS the solves run unchanged, and ``lapbs.parallel`` logs it once.
 """
 
 import ctypes
@@ -34,6 +29,7 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
 import time
 import traceback
@@ -162,11 +158,11 @@ def _one_blas_thread():
 _GROUPS = 4   # contiguous node groups, whatever the worker count
 
 
-def _solve_groups(spec, pencil, zs, rows, groups):
+def _solve_groups(pencil, zs, rows, groups):
     """Rows lo..hi-1 of each (lo, hi) in ``groups``, written in place into
-    ``rows``, by solvers looked up at call time."""
+    ``rows``, by solvers looked up at call time; only 2D has ``expand``."""
     for lo, hi in groups:
-        if spec.kind == "put1d":
+        if pencil.expand is None:
             for j in range(lo, hi):
                 rows[j] = fem1d.solve(pencil.at(zs[j]))
         else:
@@ -174,17 +170,22 @@ def _solve_groups(spec, pencil, zs, rows, groups):
                 rows[j] = pencil.expand @ x
 
 
-def _fork_chunks(chunks, solve):
-    """Solve each chunk into the shared rows, ``chunks[0]`` in the caller
-    and each other in a forked worker, which pickles back through its own
-    pipe None, or (error, traceback) for its first failing node; a worker
-    that died, or whose error does not pickle, sends nothing.  Returns the
-    workers' messages in chunk order, b"" for a worker that sent nothing."""
-    kids = []   # (pid, pipe), in chunk order
+# the caller's wait for its workers: _PATIENCE times its own chunk's wall
+# time, plus _FLOOR_S.  On 2 CPUs, at 2 to 8 workers, a 2D worker's chunk
+# took up to 2.4 times the caller's and ended up to 0.10 s after it.
+_PATIENCE = 10.0
+_FLOOR_S = 2.0
+
+
+def _run_pool(chunks, solve):
+    """Solve ``chunks[0]`` in the caller and each other chunk in a forked
+    worker, which pickles back None, or (error, traceback) for its first
+    failing node.  Once every worker is reaped, the caller solves each chunk
+    whose worker sent nothing whole in time (it died or stalled, or its
+    error does not pickle).  The first node error, in node order, is raised."""
+    kids, poll = {}, select.poll()   # read end -> pid, last chunk first
     try:
-        # last chunk first: the contour's later nodes lie farther apart, so
-        # their groups take more Krylov steps (11, 11, 13 and 14 for the
-        # 128^2 Dirichlet basket), and start earliest
+        # later nodes lie farther apart and take more Krylov steps: fork first
         for chunk in reversed(chunks[1:]):
             read, write = os.pipe()
             try:
@@ -195,46 +196,41 @@ def _fork_chunks(chunks, solve):
                 raise
             if pid == 0:   # the worker: it leaves only through _exit
                 try:
-                    os.close(read)
-                    try:
-                        solve(chunk)
-                        out = None
-                    except Exception as err:
-                        out = (err, traceback.format_exc())
-                    with open(write, "wb") as pipe:
-                        pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
+                    solve(chunk)
+                    os.write(write, pickle.dumps(None))
+                except Exception as err:
+                    trace = traceback.format_exc()
+                    os.write(write, pickle.dumps((err, trace)))
                 finally:   # the caller reads the pipe, not the exit status
                     os._exit(0)
             os.close(write)
-            kids.insert(0, (pid, open(read, "rb")))
+            kids[read] = pid
+            poll.register(read, select.POLLIN)
+        start = time.perf_counter()
         solve(chunks[0])
-        messages = []
-        while kids:
-            pid, pipe = kids[0]
-            messages.append(pipe.read())
-            pipe.close()
-            os.waitpid(pid, 0)
-            del kids[0]
-        return messages
-    finally:   # interrupted: no worker outlives the call
-        for pid, pipe in kids:
-            pipe.close()
+        now = time.perf_counter()
+        deadline = now + _PATIENCE * (now - start) + _FLOOR_S
+        got, left = dict.fromkeys(kids, b""), len(kids)   # messages so far
+        while left and (wait := deadline - time.perf_counter()) > 0:
+            for read, _ in poll.poll(1e3 * wait):   # each read returns at once
+                part = os.read(read, 1 << 16)
+                got[read] += part
+                if not part:   # end of file
+                    poll.unregister(read)
+                    left -= 1
+    finally:   # no worker outlives the call, whatever it sent
+        for read, pid in kids.items():
+            os.close(read)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _run_pool(chunks, solve):
-    """``_fork_chunks`` once, or twice if a worker is lost (OOM kill,
-    signal), the caller's chunk solved again too.  The first node error,
-    in node order, is raised."""
-    for attempt in range(2):
-        messages = _fork_chunks(chunks, solve)
-        if b"" not in messages:
-            break
-        if attempt == 1:
-            raise RuntimeError("a pool worker died twice")
-        _LOG.warning("worker pool broke (a worker died); retrying once")
-    for failure in map(pickle.loads, messages):
+    for chunk, read in zip(chunks[1:], reversed(kids)):
+        try:
+            failure = pickle.loads(got[read])
+        except Exception:   # none, cut short, or an error that does not load
+            _LOG.warning("pool worker for nodes %d-%d sent no result; the "
+                         "caller solves them", chunk[0][0], chunk[-1][1] - 1)
+            solve(chunk)
+            continue
         if failure:
             err, trace = failure
             raise err from RuntimeError(f"in the worker:\n{trace}")
@@ -260,7 +256,7 @@ def solve_ensemble(spec, contour, workers=1):
     else:   # in memory the forked workers share with the caller
         shared = mmap.mmap(-1, math.prod(shape) * np.dtype(complex).itemsize)
         rows = np.frombuffer(shared, complex).reshape(shape)
-    solve = functools.partial(_solve_groups, spec, spec.pencil(), zs, rows)
+    solve = functools.partial(_solve_groups, spec.pencil(), zs, rows)
 
     start = time.perf_counter()
     with _one_blas_thread():

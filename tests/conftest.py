@@ -37,7 +37,7 @@ class _Collect(logging.Handler):
 def no_unchecked_lapbs_warnings(request):
     """Fail a test that logs a WARNING or worse on a ``lapbs.*`` logger,
     in its own process or in a worker it forks, unless it takes ``caplog``
-    to check the log: a solve that falls back, or a pool that retries,
+    to check the log: a solve that falls back, or a pool that loses a worker,
     must not pass unnoticed.  This is the logging side of
     ``filterwarnings = ["error"]``.  The handler is the fixture's value, so
     a test can read what it collected."""

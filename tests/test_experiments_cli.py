@@ -87,10 +87,22 @@ class TestConfig:
 
         monkeypatch.setattr(experiments, "reference_solution", loaded)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"meshes": []}))
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="meshes"):
-            cli.main(["run", "--example", example, "--config", str(path),
+        for meshes in ([], 20):   # 20 is not a list of one mesh
+            path.write_text(json.dumps({"meshes": meshes}))
+            with pytest.raises(ValueError, match="meshes"):
+                cli.main(["run", "--example", example, "--config", str(path),
+                          "--out", str(out)])
+            assert not out.exists()
+
+    def test_contours_not_a_list_writes_nothing(self, tmp_path):
+        row = {"gamma": 67.38, "nu": 62.09, "s": 0.4213, "tau": 0.04556,
+               "n": 15}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"meshes": [10, 20], "contours": row}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="contours must be a JSON list"):
+            cli.main(["run", "--example", "ex1", "--config", str(path),
                       "--out", str(out)])
         assert not out.exists()
 
@@ -230,8 +242,9 @@ class TestCli:
         ([], {"workers": True}),
         ([], {"worker_sweep": [2, 1]}),
         ([], {"worker_sweep": []}),
+        ([], {"worker_sweep": 2}),
     ], ids=["flag", "config", "worker_sweep", "fractional", "bool",
-            "sweep_not_from_1", "empty_sweep"])
+            "sweep_not_from_1", "empty_sweep", "sweep_not_a_list"])
     def test_worker_count_below_one_writes_nothing(self, tmp_path, flags,
                                                    config):
         cfg_path = tmp_path / "cfg.json"

@@ -1,4 +1,6 @@
+import gc
 import logging
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -631,6 +633,27 @@ class TestSharedPattern:
         for c, b in p.robin:
             want = want + c(z) * b
         assert np.array_equal(p.at(z)[0].toarray(), want.toarray())
+
+
+def test_2d_caches_let_a_grid_go_after_later_ones():
+    # a grid's pattern, order and gather are freed once as many other grids
+    # as each cache keeps have been built after it: a 512^2 build is not
+    # kept for good
+    p = pencil(Mesh2D(300.0, 300.0, 40, 40), BASKET, EdgeSpec())
+    held = [weakref.ref(p.expand),   # _fold's own matrix
+            weakref.ref(fem2d._stencil_pattern(40, 40)[0]),
+            weakref.ref(fem2d.nested_dissection(np.ones((41, 41), bool)))]
+    del p
+    gc.collect()
+    assert all(ref() is not None for ref in held)   # cached
+    caches = (fem2d._stencil_pattern, fem2d._fold, fem2d._nested_dissection)
+    kept = {cache.cache_info().maxsize for cache in caches}
+    assert kept == {4}
+    for m in range(5, 9):
+        pencil(Mesh2D(300.0, 300.0, m, m), BASKET, EdgeSpec())
+    gc.collect()
+    assert all(ref() is None for ref in held)
+    assert all(cache.cache_info().currsize == 4 for cache in caches)
 
 
 SQUARE = (Mesh2D(300.0, 300.0, 32, 32), BASKET)

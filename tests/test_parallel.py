@@ -328,11 +328,29 @@ def in_workers(fault):
     return solve_or_fault
 
 
+def counted_forks(monkeypatch):
+    """The pids of the calling process's forks, from now on."""
+    pids, fork = [], os.fork
+
+    def recorded_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+LOST = "sent no result; the caller solves them"
+
+
 class TestWorkerFailure:
     """The counters are shared memory created before the fork, so every
-    worker of every pool attempt updates the same value."""
+    worker updates the same value.  A worker that sends nothing in time is
+    killed and reaped, and the caller solves its chunk in one fork round."""
 
-    def test_killed_worker_retried_once(self, monkeypatch, caplog):
+    def test_killed_worker_chunk_solved_by_the_caller(self, monkeypatch,
+                                                      caplog):
         spec = ProblemSpec("put1d", MARKET, 40)
         base, _ = solve_ensemble(spec, C15, workers=1)
         killed = get_context("fork").Value("i", 0)
@@ -346,12 +364,14 @@ class TestWorkerFailure:
                 os.kill(os.getpid(), signal.SIGKILL)
             return solve(system)
 
+        pids = counted_forks(monkeypatch)
         monkeypatch.setattr(fem1d, "solve", in_workers(die_once))
         with deadline(30), caplog.at_level(logging.WARNING, "lapbs.parallel"):
             ens, _ = solve_ensemble(spec, C15, workers=2)
         assert killed.value == 1
         assert np.array_equal(ens.values, base.values)
-        assert "retrying once" in caplog.text
+        assert len(pids) == 1   # one fork round
+        assert caplog.text.count(LOST) == 1 and "nodes 8-14" in caplog.text
 
     def test_node_error_raised_without_rerun(self, monkeypatch):
         calls = get_context("fork").Value("i", 0)
@@ -377,6 +397,32 @@ class TestWorkerFailure:
         assert "in the worker" in cause and "_solve_groups" in cause
         assert "residual guard tripped" in cause
 
+    def test_unpicklable_node_error_raised_as_itself(self, monkeypatch,
+                                                     caplog):
+        # the worker cannot send a local class's error, so it sends
+        # nothing; the caller's own solve of that chunk raises it
+        class LocalError(ValueError):
+            pass
+
+        solve_groups = parallel._solve_groups
+
+        def fail_late(pencil, zs, rows, groups):
+            if groups[0][0] >= 8:   # the worker's chunk at 2 workers
+                raise LocalError("residual guard tripped")
+            solve_groups(pencil, zs, rows, groups)
+
+        pids = counted_forks(monkeypatch)
+        monkeypatch.setattr(parallel, "_solve_groups", fail_late)
+        with deadline(30), caplog.at_level(logging.WARNING, "lapbs.parallel"):
+            with pytest.raises(LocalError, match="residual guard") as err:
+                solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15,
+                               workers=2)
+        assert err.value.__cause__ is None   # not the worker's
+        assert len(pids) == 1
+        assert caplog.text.count(LOST) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_caller_chunk_error_kills_and_reaps_the_workers(self,
                                                             monkeypatch):
         # the worker would never finish; only the kill ends it in time
@@ -395,25 +441,40 @@ class TestWorkerFailure:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_dying_twice_raises(self, monkeypatch, caplog):
-        pids, fork = [], os.fork
+    def test_stalled_worker_chunk_solved_by_the_caller(self, monkeypatch,
+                                                       caplog):
+        # the worker never returns; the caller stops waiting at the
+        # deadline, kills it and solves its chunk
+        spec = ProblemSpec("put1d", MARKET, 40)
+        base, _ = solve_ensemble(spec, C15, workers=1)
+        monkeypatch.setattr(parallel, "_FLOOR_S", 0.2)
+        pids = counted_forks(monkeypatch)
+        monkeypatch.setattr(fem1d, "solve",
+                            in_workers(lambda system: signal.pause()))
+        with deadline(30), caplog.at_level(logging.WARNING, "lapbs.parallel"):
+            ens, row = solve_ensemble(spec, C15, workers=2)
+        assert np.array_equal(ens.values, base.values)
+        assert 0.2 <= row.wall_time < 5.0
+        assert len(pids) == 1
+        assert caplog.text.count(LOST) == 1
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
-        def recorded_fork():
-            pid = fork()
-            pids.append(pid)
-            return pid
-
+    def test_worker_always_dying_gives_serial_rows(self, monkeypatch,
+                                                   caplog):
         def die(system):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(os, "fork", recorded_fork)
+        spec = ProblemSpec("put1d", MARKET, 40)
+        base, _ = solve_ensemble(spec, C15, workers=1)
+        pids = counted_forks(monkeypatch)
         monkeypatch.setattr(fem1d, "solve", in_workers(die))
         with deadline(30), caplog.at_level(logging.WARNING, "lapbs.parallel"):
-            with pytest.raises(RuntimeError, match="died twice"):
-                solve_ensemble(ProblemSpec("put1d", MARKET, 40), C15,
-                               workers=2)
-        assert caplog.text.count("retrying once") == 1
-        assert len(pids) == 2   # one worker, two attempts, each reaped
+            ens, _ = solve_ensemble(spec, C15, workers=2)
+        assert np.array_equal(ens.values, base.values)
+        assert caplog.text.count(LOST) == 1
+        assert len(pids) == 1   # one worker, one fork round, reaped
         for pid in pids:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
