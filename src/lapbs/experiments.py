@@ -122,13 +122,17 @@ def load_config(path=None, example=None):
     return base
 
 
-def _prepare_run(cfg, contours, mu_val, reference=False):
-    """Check that there are meshes, the worker counts, that Table 8's
-    sweep starts at 1 (its speedup baseline) and that every contour clears
-    its kappa bound, load the Example-3 reference if asked, then make the
-    output directory: a bad config writes nothing.  Returns the reference."""
+def _prepare_run(cfg, contours, mu_val, least, reference=False):
+    """Check that there are meshes, each a count of at least ``least``
+    elements a side as the example's mesh checks, the worker counts, that
+    Table 8's sweep starts at 1 (its speedup baseline), that every contour
+    clears its kappa bound and, with the Example-3 reference, that Table 7
+    has a mesh; load the reference if asked, then make the output
+    directory: a bad config writes nothing.  Returns the reference."""
     if not cfg.meshes:
         raise ValueError("meshes must name at least one mesh size")
+    for m in cfg.meshes:
+        fem1d._require_count("mesh sizes in meshes", m, least, "elements")
     for w in (cfg.workers, *cfg.worker_sweep):
         fem1d._require_count("worker counts", w, 1, "worker")
     if not cfg.worker_sweep or cfg.worker_sweep[0] != 1:
@@ -138,6 +142,9 @@ def _prepare_run(cfg, contours, mu_val, reference=False):
         ok, violations = validate(c, kappa_bound(c.s, mu_val))
         if not ok:
             raise ValueError(f"contour n={c.n} inadmissible: {violations}")
+    if reference and min(cfg.meshes) > 64:   # Table 7 runs on [0,150]^2
+        raise ValueError("Table 7 needs a mesh size of at most 64 in "
+                         f"meshes, got {cfg.meshes!r}")
     loaded = reference_solution(cfg) if reference else None
     os.makedirs(cfg.out, exist_ok=True)
     return loaded
@@ -196,7 +203,7 @@ def run_example1(cfg):
     """Tables 1-3: CN sweep, Laplace sweep at N=15, contour-size study."""
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
     market, c15 = cfg.market(), cfg.contour(15)
-    _prepare_run(cfg, cfg.contours, mu_val)
+    _prepare_run(cfg, cfg.contours, mu_val, 2)
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
     error = lambda u, mesh: l2_error(u, exact, mesh)
 
@@ -240,7 +247,7 @@ def run_example2(cfg):
     """Tables 4-5 and the Fig. 1 curves: boundary-condition study at L=50."""
     mu_val = mu(cfg.r, cfg.sigma, cfg.sigma, True)
     market, c15 = cfg.market(), cfg.contour(15)
-    _prepare_run(cfg, cfg.contours, mu_val)
+    _prepare_run(cfg, cfg.contours, mu_val, 2)
     exact = lambda x: bs_put(x, cfg.maturity, cfg.strike, cfg.r, cfg.sigma)
     error = lambda u, mesh: l2_error(u, exact, mesh)
 
@@ -312,11 +319,8 @@ def run_example3(cfg):
     mu_val = mu(cfg.r, np.sqrt(min(cfg.a11, cfg.a22)),
                 np.sqrt(max(cfg.a11, cfg.a22)), True)
     basket = cfg.basket()
+    ref, refmesh = _prepare_run(cfg, [EX3_CONTOUR], mu_val, 1, reference=True)
     meshes7 = [m for m in cfg.meshes if m <= 64]   # Table 7's meshes
-    if cfg.meshes and not meshes7:
-        raise ValueError("Table 7 needs a mesh size of at most 64 in "
-                         f"meshes, got {cfg.meshes!r}")
-    ref, refmesh = _prepare_run(cfg, [EX3_CONTOUR], mu_val, reference=True)
     # relative L2 distance from the reference over each mesh's own domain
     error = lambda u, mesh: fem2d.relative_l2(u, mesh, ref, refmesh,
                                               mesh.L1, mesh.L2)

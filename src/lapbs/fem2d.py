@@ -174,72 +174,64 @@ def _stencil_pattern(m1, m2):
     return indices, indptr, where
 
 
-def _far_nodes(mesh):
-    """Node indices along each far edge, keyed by the ``EdgeSpec`` field."""
-    m1, m2 = mesh.m1, mesh.m2
-    return {"x1_far": np.arange(m2 + 1) * (m1 + 1) + m1,
-            "x2_far": m2 * (m1 + 1) + np.arange(m1 + 1)}
-
-
-def _edge_mass(indices, h, n):
-    """1D P1 mass matrix of a boundary line, scattered into the 2D system."""
-    a, b = indices[:-1], indices[1:]   # the segments' ends
-    data = np.repeat((h / 6.0) * np.array([2.0, 2.0, 1.0, 1.0]), len(a))
-    return csr_matrix((data, (np.r_[a, b, a, b], np.r_[a, b, b, a])),
-                      shape=(n, n))
-
-
 def pencil(mesh, basket, edges):
     """The basket's :class:`~lapbs.fem1d.Pencil`, in CSC, on the mesh's
     domain (the basket's L1 and L2 are not read), loaded with the
     put-on-maximum payoff: on each far edge either 0 ("dirichlet0") or the
     transparent Robin term ("transparent").  Its unknowns are the nodes not
-    held at 0, in their ``nested_dissection`` order, built here before any
-    worker forks.  Swap-symmetric data (m1 = m2, L1 = L2, a11 = a22, one
-    condition on both far edges) give u(x1, x2) = u(x2, x1), so only the
-    nodes with i >= j are kept, and each column of ``expand`` (nodes x
-    unknowns) holds 1/sqrt(2) at a node and at its mirror (j, i), or 1 at
-    a node on the diagonal, so its columns are orthonormal; other data
-    keep one node, at 1, a column.  The pencil is expand^T S expand,
-    expand^T M expand, expand^T B_k expand with load expand^T b, each
-    matrix folded by ``_fold``'s gather onto one shared CSC pattern;
+    held at 0, in their ``nested_dissection`` order, which ``_layout``
+    makes once per grid shape and edge set, before any worker forks.
+    Swap-symmetric data (m1 = m2, L1 = L2, a11 = a22, one condition on both
+    far edges) give u(x1, x2) = u(x2, x1), so only the nodes with i >= j
+    are kept, and each column of ``expand`` (nodes x unknowns) holds
+    1/sqrt(2) at a node and at its mirror (j, i), or 1 at a node on the
+    diagonal, so its columns are orthonormal; other data keep one node, at
+    1, a column.  The pencil is expand^T S expand, expand^T M expand,
+    expand^T B_k expand with load expand^T b, each matrix on the stencil
+    diagonals folded by ``_layout``'s gather onto one shared CSC pattern;
     expand times its solution solves the whole grid."""
-    m1, m2, n = mesh.m1, mesh.m2, len(mesh)
-    nodes = _far_nodes(mesh)
-    free = np.ones(n, dtype=bool)
-    for edge, idx in nodes.items():
-        free[idx] &= getattr(edges, edge) != "dirichlet0"
+    m1, m2 = mesh.m1, mesh.m2
     mirrored = (m1 == m2 and mesh.L1 == mesh.L2
                 and basket.a11 == basket.a22 and edges.x1_far == edges.x2_far)
-    keep = free.reshape(m2 + 1, m1 + 1)   # rows j; (j, i) joins (i, j), i > j
-    unknowns = nested_dissection(np.triu(keep) if mirrored else keep)
-    expand, (indices, indptr), (src, dst, weight) = _fold(
-        m1, m2, unknowns.tobytes(), mirrored)
+    expand, (indices, indptr), (src, dst, weight) = _layout(m1, m2, edges,
+                                                            mirrored)
     u0 = lambda x1, x2: payoff_basket_maxput(x1, x2, basket.strike)
     spatial, mass, load = build_matrices(mesh, basket, u0)
     fold = lambda data: csc_matrix(
         (np.bincount(dst, weight * data[src], len(indices)), indices, indptr),
         shape=expand.shape[1:] * 2)
-    stencil, _, where = _stencil_pattern(m1, m2)
-    robin = tuple(   # each edge mass's entries are stencil entries
-        (_robin_term(basket.r, a, L), fold(np.asarray(
-            _edge_mass(nodes[edge], h, n)[where % n, stencil]).ravel()))
-        for edge, a, L, h in (("x1_far", basket.a11, mesh.L1, mesh.h2),
-                              ("x2_far", basket.a22, mesh.L2, mesh.h1))
-        if getattr(edges, edge) == "transparent")
+    where, robin = _stencil_pattern(m1, m2)[2], []
+    for edge, a, L, h, step in (("x1_far", basket.a11, mesh.L1, mesh.h2, 5),
+                                ("x2_far", basket.a22, mesh.L2, mesh.h1, 4)):
+        if getattr(edges, edge) == "transparent":
+            # B_k, the 1D P1 mass h/6 [2, 1; 1, 2] a segment of the last
+            # column (i = m1) or row (j = m2); _STENCIL[step] is the next
+            # node along it, _STENCIL[6 - step] the one before
+            d = np.zeros((7, m2 + 1, m1 + 1))
+            line = d[..., -1] if edge == "x1_far" else d[:, -1]
+            diagonal, off = (h / 6.0) * np.array([2.0, 1.0])
+            line[3, :-1] += diagonal
+            line[3, 1:] += diagonal
+            line[step, :-1] = line[6 - step, 1:] = off
+            robin.append((_robin_term(basket.r, a, L), fold(d.ravel()[where])))
     return Pencil(fold(spatial.data), fold(mass.data), expand.T @ load,
-                  np.empty(0, dtype=int), lambda z: 0.0, robin, expand)
+                  np.empty(0, dtype=int), lambda z: 0.0, tuple(robin), expand)
 
 
 @functools.lru_cache(maxsize=4)
-def _fold(m1, m2, order, mirrored):
-    """``expand`` onto the unknowns ``order`` (node indices, as bytes), each
-    node (i, j), i < j, joined to its mirror if ``mirrored``; the folded CSC
+def _layout(m1, m2, edges, mirrored):
+    """``expand`` onto the unknowns: the nodes that ``edges`` hold at 0
+    dropped, the rest in their ``nested_dissection`` order, each node
+    (i, j), i < j, joined to its mirror if ``mirrored``; the folded CSC
     (indices, indptr); and the gather (src, dst, weight) that folds data x
     on ``_stencil_pattern`` to bincount(dst, weight * x[src]), as
     expand^T X expand.  Cached, so the arrays are read-only."""
-    n, unknowns = (m1 + 1) * (m2 + 1), np.frombuffer(order, dtype=int)
-    nu, grid = len(unknowns), np.arange(n).reshape(m2 + 1, m1 + 1)
+    grid = np.arange((m1 + 1) * (m2 + 1)).reshape(m2 + 1, m1 + 1)   # rows j
+    keep = np.ones(grid.shape, dtype=bool)
+    keep[:, -1] &= edges.x1_far != "dirichlet0"
+    keep[-1] &= edges.x2_far != "dirichlet0"
+    unknowns = nested_dissection(np.triu(keep) if mirrored else keep)
+    n, nu = grid.size, len(unknowns)
     twin = (grid.T if mirrored else grid).ravel()
     col = np.full(n, -1)   # each node's unknown
     col[unknowns] = col[twin[unknowns]] = np.arange(nu)
@@ -269,25 +261,19 @@ def nested_dissection(keep):
     columns i): bisect the set's bounding box along its longer side at the
     median grid line, which no triangle edge crosses, order the two halves
     recursively and put the separator last; sets of at most 4 nodes keep
-    ascending order.  On a whole grid this is the box recursion.  Cached
-    per grid shape and kept set, so the array is read-only."""
+    ascending order.  On a whole grid this is the box recursion.  Not
+    cached: ``_layout`` calls it once per grid shape and edge set."""
     keep = np.asarray(keep, dtype=bool)
-    return _nested_dissection(keep.shape, keep.tobytes())
 
-
-@functools.lru_cache(maxsize=4)
-def _nested_dissection(shape, keep):
     def split(k):   # node indices, ascending
         if len(k) <= 4:
             return [k]
-        i, j = k % shape[1], k // shape[1]
+        i, j = k % keep.shape[1], k // keep.shape[1]
         key = i if np.ptp(i) >= np.ptp(j) else j
         line = np.partition(key, len(k) // 2)[len(k) // 2]
         return split(k[key < line]) + split(k[key > line]) + [k[key == line]]
 
-    order = np.concatenate(split(np.flatnonzero(np.frombuffer(keep, bool))))
-    order.flags.writeable = False
-    return order
+    return np.concatenate(split(np.flatnonzero(keep)))
 
 
 def factor(a):

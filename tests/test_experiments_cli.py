@@ -88,7 +88,8 @@ class TestConfig:
         monkeypatch.setattr(experiments, "reference_solution", loaded)
         path = tmp_path / "cfg.json"
         out = tmp_path / "out"
-        for meshes in ([], 20):   # 20 is not a list of one mesh
+        # 20 is not a list of one mesh; the rest fail the mesh's own count
+        for meshes in ([], 20, ["a"], [0], [10.5], [True]):
             path.write_text(json.dumps({"meshes": meshes}))
             with pytest.raises(ValueError, match="meshes"):
                 cli.main(["run", "--example", example, "--config", str(path),

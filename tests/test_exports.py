@@ -1,5 +1,5 @@
 """Every ``lapbs`` module's ``__all__`` names only what the module has,
-and ``import lapbs`` stays light."""
+every cache is bounded, and ``import lapbs`` stays light."""
 
 import importlib
 import os
@@ -22,6 +22,24 @@ def test_all_names_exist_and_star_import_works(name):
     namespace = {}
     exec(f"from lapbs.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_every_cache_is_bounded():
+    # an unbounded lru_cache would keep a 512^2 build for the life of the
+    # process; each module's functions and its classes' methods are walked
+    caches = {}
+    for name in MODULES:
+        module = importlib.import_module(f"lapbs.{name}")
+        scopes = [vars(module)] + [vars(c) for c in vars(module).values()
+                                   if isinstance(c, type)
+                                   and c.__module__ == module.__name__]
+        for scope in scopes:
+            for attr, x in scope.items():
+                if hasattr(x, "cache_parameters"):
+                    caches[f"{name}.{attr}"] = x.cache_parameters()["maxsize"]
+    assert {"fem2d._stencil_pattern", "fem2d._layout"} <= set(caches)
+    unbounded = [name for name, size in caches.items() if size is None]
+    assert not unbounded, f"unbounded caches: {unbounded}"
 
 
 def test_import_does_not_load_scipy_special():

@@ -13,10 +13,10 @@ from lapbs import fem2d
 from lapbs.contour import quadrature_nodes
 from lapbs.experiments import EX3_CONTOUR
 from lapbs.fem1d import RIGHT_BCS, Mesh1D, robin_coefficient
-from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, _edge_mass,
-                         build_matrices, factor, interpolate_p1,
-                         nested_dissection, payoff_basket_maxput, pencil,
-                         relative_l2, solve2d, solve_shifts)
+from lapbs.fem2d import (Basket2D, EdgeSpec, Mesh2D, build_matrices,
+                         factor, interpolate_p1, nested_dissection,
+                         payoff_basket_maxput, pencil, relative_l2, solve2d,
+                         solve_shifts)
 
 BASKET = Basket2D(r=0.05, a11=0.09, a22=0.09, a12=-0.018,
                   strike=100.0, maturity=1.0, L1=300.0, L2=300.0)
@@ -31,6 +31,21 @@ def payoff(x1, x2):
 def grid(mesh):
     """The mesh's node coordinates as two (m2+1, m1+1) arrays."""
     return np.meshgrid(mesh.x1, mesh.x2)
+
+
+def _far_nodes(mesh):
+    """Node indices along each far edge, keyed by the ``EdgeSpec`` field."""
+    m1, m2 = mesh.m1, mesh.m2
+    return {"x1_far": np.arange(m2 + 1) * (m1 + 1) + m1,
+            "x2_far": m2 * (m1 + 1) + np.arange(m1 + 1)}
+
+
+def _edge_mass(indices, h, n):
+    """1D P1 mass matrix of a boundary line, scattered into the 2D system."""
+    a, b = indices[:-1], indices[1:]   # the segments' ends
+    data = np.repeat((h / 6.0) * np.array([2.0, 2.0, 1.0, 1.0]), len(a))
+    return csr_matrix((data, (np.r_[a, b, a, b], np.r_[a, b, b, a])),
+                      shape=(n, n))
 
 
 class TestMeshAndPayoff:
@@ -483,7 +498,7 @@ class TestFold:
         n = len(mesh)
         swap = csr_matrix((np.ones(n), (np.arange(n), mirror(mesh))),
                           shape=(n, n))
-        far = fem2d._far_nodes(mesh)
+        far = _far_nodes(mesh)
         edges = (_edge_mass(far["x1_far"], mesh.h2, n)
                  + _edge_mass(far["x2_far"], mesh.h1, n))
         spatial, mass, _ = build_matrices(mesh, BASKET, payoff)
@@ -542,7 +557,7 @@ class TestFold:
         spatial, mass, load = build_matrices(mesh, BASKET, payoff)
         a = spatial + z * mass
         free = np.ones(n, dtype=bool)
-        far = fem2d._far_nodes(mesh)
+        far = _far_nodes(mesh)
         for edge, h in (("x1_far", mesh.h2), ("x2_far", mesh.h1)):
             if getattr(edges, edge) == "transparent":
                 c = robin_coefficient(z, BASKET.r, np.sqrt(BASKET.a11), L)
@@ -577,7 +592,7 @@ TRANSPARENT = EdgeSpec(x1_far="transparent", x2_far="transparent")
 def whole_grid_matrices(mesh, basket, edges):
     """S, M and each transparent edge's mass over the whole grid."""
     spatial, mass, _ = build_matrices(mesh, basket, payoff)
-    far = fem2d._far_nodes(mesh)
+    far = _far_nodes(mesh)
     return [spatial, mass] + [
         _edge_mass(far[edge], h, len(mesh))
         for edge, h in (("x1_far", mesh.h2), ("x2_far", mesh.h1))
@@ -620,6 +635,27 @@ class TestSharedPattern:
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 1
 
+    @pytest.mark.parametrize("mesh, edges, mirrored", [
+        (Mesh2D(300.0, 175.0, 12, 7), EdgeSpec(x1_far="transparent"), False),
+        (Mesh2D(150.0, 150.0, 64, 64), TRANSPARENT, True),
+    ], ids=["12x7", "64_transparent"])
+    def test_edge_masses_are_the_whole_grid_ones_gathered(self, mesh, edges,
+                                                           mirrored):
+        # each B_k, filled on the stencil diagonals, is == its whole-grid
+        # edge mass read at the stencil's entries and folded by the gather
+        p = pencil(mesh, BASKET, edges)
+        n = len(mesh)
+        stencil, _, where = fem2d._stencil_pattern(mesh.m1, mesh.m2)
+        expand, (indices, _), (src, dst, weight) = fem2d._layout(
+            mesh.m1, mesh.m2, edges, mirrored)
+        assert expand is p.expand
+        for (_, bk), x in zip(p.robin, whole_grid_matrices(mesh, BASKET,
+                                                           edges)[2:],
+                              strict=True):
+            data = np.asarray(x[where % n, stencil]).ravel()
+            np.testing.assert_array_equal(
+                bk.data, np.bincount(dst, weight * data[src], len(indices)))
+
     @pytest.mark.parametrize("z", [2.0, -8.35 + 12.39j,
                                    quadrature_nodes(EX3_CONTOUR)[0][7]],
                              ids=["real", "complex", "node7"])
@@ -636,24 +672,38 @@ class TestSharedPattern:
 
 
 def test_2d_caches_let_a_grid_go_after_later_ones():
-    # a grid's pattern, order and gather are freed once as many other grids
-    # as each cache keeps have been built after it: a 512^2 build is not
-    # kept for good
+    # a grid's pattern and layout are freed once as many other grids as
+    # each cache keeps have been built after it: a 512^2 build is not kept
+    # for good
     p = pencil(Mesh2D(300.0, 300.0, 40, 40), BASKET, EdgeSpec())
-    held = [weakref.ref(p.expand),   # _fold's own matrix
-            weakref.ref(fem2d._stencil_pattern(40, 40)[0]),
-            weakref.ref(fem2d.nested_dissection(np.ones((41, 41), bool)))]
+    held = [weakref.ref(p.expand),   # _layout's own matrix
+            weakref.ref(fem2d._stencil_pattern(40, 40)[0])]
     del p
     gc.collect()
     assert all(ref() is not None for ref in held)   # cached
-    caches = (fem2d._stencil_pattern, fem2d._fold, fem2d._nested_dissection)
-    kept = {cache.cache_info().maxsize for cache in caches}
-    assert kept == {4}
     for m in range(5, 9):
         pencil(Mesh2D(300.0, 300.0, m, m), BASKET, EdgeSpec())
     gc.collect()
     assert all(ref() is None for ref in held)
+    caches = (fem2d._stencil_pattern, fem2d._layout)
     assert all(cache.cache_info().currsize == 4 for cache in caches)
+
+
+def test_table7_edge_sets_make_one_layout_each():
+    # Table 7's Dirichlet and transparent pencils on one grid are two
+    # layouts, and each later build of either is a hit
+    mesh = Mesh2D(150.0, 150.0, 16, 16)
+    fem2d._layout.cache_clear()
+    first = [pencil(mesh, BASKET, edges) for edges in (EdgeSpec(),
+                                                       TRANSPARENT)]
+    info = fem2d._layout.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 0)
+    again = [pencil(mesh, BASKET, edges) for edges in (EdgeSpec(),
+                                                       TRANSPARENT)]
+    info = fem2d._layout.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+    for p, q in zip(first, again):
+        assert p.expand is q.expand
 
 
 SQUARE = (Mesh2D(300.0, 300.0, 32, 32), BASKET)
@@ -774,10 +824,14 @@ class TestNestedDissection:
         assert np.all(rest[:len(below)] < line)
 
     def test_cached_and_read_only(self):
-        order = nested_dissection(whole(6, 4))
-        assert order is nested_dissection(whole(6, 4))
-        with pytest.raises(ValueError, match="read-only"):
-            order[0] = 1
+        # the order lives in the cached layout, not in nested_dissection
+        layout = fem2d._layout(6, 4, EdgeSpec(), False)
+        assert layout is fem2d._layout(6, 4, EdgeSpec(), False)
+        expand, folded, gather = layout
+        for x in (expand.data, expand.indices, expand.indptr, *folded,
+                  *gather):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1
 
     def test_pencil_carries_the_order(self):
         # the unknowns are the free nodes in their own order

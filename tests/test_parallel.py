@@ -290,6 +290,7 @@ class TestSolveEnsemble:
             return made(keep)
 
         monkeypatch.setattr(fem2d, "nested_dissection", once)
+        fem2d._layout.cache_clear()   # a cached layout would make no call
         spec = ProblemSpec("basket2d", BASKET, 16, edges=edges)
         solve_ensemble(spec, EX3_CONTOUR, workers=workers)
         assert calls == [(17, 17)]
