@@ -50,6 +50,8 @@ def l2_error(values, exact, mesh):
 
     ``exact`` must be callable on an ndarray: it is called once, on the
     (m, 5) array of all Gauss points; a scalar return is broadcast.
+    ValueError when the squared sum is not finite, naming ``values`` when
+    they hold a NaN or inf and ``exact`` otherwise.
     """
     x = mesh.x
     v = np.asarray(values, dtype=float)
@@ -61,7 +63,11 @@ def l2_error(values, exact, mesh):
     pts = 0.5 * (a + x[1:, None]) + half[:, None] * _G5X
     interp = v[:-1, None] + (v[1:] - v[:-1])[:, None] * (pts - a) / mesh.h
     ex = np.broadcast_to(exact(pts), pts.shape)
-    return math.sqrt(np.dot(half, (interp - ex) ** 2 @ _G5W))
+    total = np.dot(half, (interp - ex) ** 2 @ _G5W)
+    if not math.isfinite(total):
+        cause = "exact is" if np.isfinite(v).all() else "values are"
+        raise ValueError(f"{cause} not finite: the L2 error is undefined")
+    return math.sqrt(total)
 
 
 def reduction_rate(e_coarse, e_fine):

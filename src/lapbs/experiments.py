@@ -104,9 +104,14 @@ def load_config(path=None, example=None):
         data = json.load(f)
     if example is not None:
         data["example"] = example
-    unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
+    for k, v in data.items():   # a JSON bool is an int to isinstance
+        want = {float: (int, float), str: str}.get(types[k])
+        if want and (isinstance(v, bool) or not isinstance(v, want)):
+            raise ValueError(f"{k} must be a {types[k].__name__}, got {v!r}")
     for key, what in (("meshes", "mesh sizes"), ("contours", "contour rows"),
                       ("worker_sweep", "worker counts")):
         if not isinstance(data.get(key, []), list):

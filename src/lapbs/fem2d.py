@@ -372,9 +372,9 @@ def _require_within(name, x, bound):
 
 
 def _nodal(name, values, mesh):
-    """values as the (m2+1, m1+1) node grid; ValueError unless it has one
-    entry per mesh node."""
-    v = np.asarray(values)
+    """values as the (m2+1, m1+1) float node grid; ValueError unless it has
+    one entry per mesh node."""
+    v = np.asarray(values, dtype=float)
     if v.size != len(mesh):
         raise ValueError(f"{name} has {v.size} entries but the mesh has "
                          f"{len(mesh)} nodes")
@@ -397,15 +397,21 @@ def interpolate_p1(values, mesh, x1, x2):
     J = np.minimum(np.ravel(x2) / mesh.h2, mesh.m2 - 1e-12)
     i, j = I.astype(int), J.astype(int)
     fx, fy = I - i, (J - j)[:, None]
-    lo, hi = v[j], v[j + 1]   # each x2 point's cell: bottom and top rows
-    up = hi - lo
+    # differences are taken on the node grid; then each operand (v00, the x1
+    # differences, the x2 differences at each cell's left and right column)
+    # has its columns gathered once, and its rows once per x2 point
+    dx = np.diff(v).take(i, axis=1)
+    dy = np.diff(v, axis=0)
+    left, right = dy.take(i, axis=1), dy.take(i + 1, axis=1)
     # v00 + a*fx + b*fy on triangle (n00, n10, n11) where fx >= fy, else on
-    # (n00, n11, n01): a is v10 - v00 or v11 - v01, b is v11 - v10 or
-    # v01 - v00, each difference taken on the rows before the column gather
+    # (n00, n11, n01): a is v10 - v00 or v11 - v01, b is v11 - v10 or v01 - v00
     lower = fx >= fy
-    a = np.where(lower, np.diff(lo)[:, i], np.diff(hi)[:, i])
-    b = np.where(lower, up[:, i + 1], up[:, i])
-    return lo[:, i] + a * fx + b * fy
+    a = np.where(lower, dx.take(j, axis=0), dx.take(j + 1, axis=0))
+    b = np.where(lower, right.take(j, axis=0), left.take(j, axis=0))
+    out = v.take(i, axis=1).take(j, axis=0)
+    out += np.multiply(a, fx, out=a)
+    out += np.multiply(b, fy, out=b)
+    return out
 
 
 def _whole_cells(name, L, h):
@@ -421,9 +427,12 @@ def relative_l2(values, mesh, ref_values, ref_mesh, L1, L2):
     """||u - u_ref|| / ||u_ref|| in discrete L2 over [0,L1] x [0,L2].
 
     Both fields are sampled on the reference grid restricted to the window
-    and integrated with tensor trapezoid weights.  The window must lie in
-    both meshes' domains and end on a reference grid line: a positive whole
-    number of reference cells to within 1e-9 (else ValueError).
+    and integrated by the tensor trapezoid rule, taken separably: with w1
+    and w2 the 1D trapezoid weights along x1 and x2, each squared norm is
+    w2 @ (f * f) @ w1.  The window must lie in both meshes' domains and end
+    on a reference grid line: a positive whole number of reference cells to
+    within 1e-9.  ValueError also when either sum is not finite (a NaN or
+    inf on the window) or the reference is zero on the window.
     """
     _require_within("window L1", L1, min(mesh.L1, ref_mesh.L1))
     _require_within("window L2", L2, min(mesh.L2, ref_mesh.L2))
@@ -432,13 +441,21 @@ def relative_l2(values, mesh, ref_values, ref_mesh, L1, L2):
     x1 = ref_mesh.x1[: n1 + 1]
     x2 = ref_mesh.x2[: n2 + 1]
     ref = _nodal("ref_values", ref_values, ref_mesh)[: n2 + 1, : n1 + 1]
-    num = interpolate_p1(values, mesh, x1, x2)
+    d = interpolate_p1(values, mesh, x1, x2)
 
     w1 = np.full(n1 + 1, ref_mesh.h1)
     w1[[0, -1]] *= 0.5
     w2 = np.full(n2 + 1, ref_mesh.h2)
     w2[[0, -1]] *= 0.5
-    w = np.outer(w2, w1)
-    diff = np.sqrt(np.sum(w * (num - ref) ** 2))
-    base = np.sqrt(np.sum(w * ref**2))
-    return diff / base
+    d -= ref
+    d *= d
+    diff = w2 @ d @ w1
+    base = w2 @ (ref * ref) @ w1
+    if not math.isfinite(base):
+        raise ValueError("ref_values are not finite on the window")
+    if not math.isfinite(diff):
+        raise ValueError("values are not finite on the window")
+    if base == 0:
+        raise ValueError("ref_values are zero on the window: the relative "
+                         "error is undefined")
+    return math.sqrt(diff) / math.sqrt(base)

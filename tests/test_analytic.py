@@ -132,6 +132,17 @@ class TestL2Error:
         with pytest.raises(ValueError, match=f"{n} entries.*5 nodes"):
             l2_error(np.ones(n), lambda x: 0.0 * x, mesh)
 
+    def test_nan_value_rejected(self):
+        mesh = Mesh1D(4.0, 4)
+        vals = np.array([0.0, 1.0, np.nan, 1.0, 0.0])
+        with pytest.raises(ValueError, match="values are not finite"):
+            l2_error(vals, lambda x: 0.0 * x, mesh)
+
+    def test_nan_exact_rejected(self):
+        mesh = Mesh1D(4.0, 4)
+        with pytest.raises(ValueError, match="exact is not finite"):
+            l2_error(np.ones(5), lambda x: np.where(x > 3.0, np.nan, x), mesh)
+
 
 class TestReductionRate:
     def test_factor_four_is_two(self):

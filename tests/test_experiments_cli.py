@@ -51,6 +51,30 @@ class TestConfig:
                       "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, key", [
+        ({"strike": True}, "strike"),
+        ({"sigma": "0.3"}, "sigma"),
+        ({"maturity": [1]}, "maturity"),
+        ({"r": None}, "r"),
+        ({"L": {"value": 200}}, "L"),
+        ({"out": 5}, "out"),
+        ({"reference_cache": ["a.npz"]}, "reference_cache"),
+    ], ids=["bool", "str", "list", "null", "object", "out", "cache"])
+    def test_bad_scalar_type_writes_nothing(self, tmp_path, config, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(config, meshes=[10, 20])))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{key} must be a"):
+            cli.main(["run", "--example", "ex1", "--config", str(path),
+                      "--out", str(out)])
+        assert not out.exists()
+
+    def test_non_str_example_rejected_at_load(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"example": 3}))
+        with pytest.raises(ValueError, match="^example must be a str"):
+            experiments.load_config(str(path))
+
     @pytest.mark.parametrize("row, key", [
         ({"gamma": 67.38, "nu": 62.09, "s": 0.4213, "tau": 0.04556, "n": 15,
           "taus": 9.9}, "taus"),

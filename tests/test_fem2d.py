@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu, spsolve
 
@@ -1030,6 +1030,46 @@ def interpolation_case(draw):
             points(m2, mesh.h2, mesh.L2))
 
 
+def relative_l2_outer(values, mesh, ref_values, ref_mesh, n1, n2):
+    """``relative_l2`` on a window of n1 x n2 reference cells with the
+    trapezoid weights as one ``np.outer`` grid, the form the separable sums
+    replace."""
+    ref = ref_values.reshape(ref_mesh.m2 + 1, ref_mesh.m1 + 1)
+    ref = ref[: n2 + 1, : n1 + 1]
+    num = interpolate_p1(values, mesh, ref_mesh.x1[: n1 + 1],
+                         ref_mesh.x2[: n2 + 1])
+    w1 = np.full(n1 + 1, ref_mesh.h1)
+    w1[[0, -1]] *= 0.5
+    w2 = np.full(n2 + 1, ref_mesh.h2)
+    w2[[0, -1]] *= 0.5
+    w = np.outer(w2, w1)
+    return np.sqrt(np.sum(w * (num - ref) ** 2)) / np.sqrt(np.sum(w * ref**2))
+
+
+@st.composite
+def error_case(draw):
+    """Nodal values on a random mesh, a reference grid that refines it
+    (nested) or has its own size and cell count, and a window of whole
+    reference cells inside both domains."""
+    m1, m2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    width = st.sampled_from(EXACT_WIDTHS) | st.floats(0.01, 100.0)
+    mesh = Mesh2D(m1 * draw(width), m2 * draw(width), m1, m2)
+    if draw(st.booleans()):
+        ref_mesh = Mesh2D(mesh.L1, mesh.L2, m1 * draw(st.integers(1, 4)),
+                          m2 * draw(st.integers(1, 4)))
+    else:
+        scale = st.floats(0.5, 2.0)
+        ref_mesh = Mesh2D(mesh.L1 * draw(scale), mesh.L2 * draw(scale),
+                          draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    n1 = int(min(mesh.L1, ref_mesh.L1) / ref_mesh.h1)
+    n2 = int(min(mesh.L2, ref_mesh.L2) / ref_mesh.h2)
+    assume(n1 >= 1 and n2 >= 1)
+    n1, n2 = draw(st.integers(1, n1)), draw(st.integers(1, n2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.normal(size=len(mesh)), mesh,
+            rng.normal(size=len(ref_mesh)), ref_mesh, n1, n2)
+
+
 class TestInterpolationAndError:
     def test_reproduces_nodal_values(self):
         mesh = Mesh2D(10.0, 10.0, 5, 5)
@@ -1059,6 +1099,13 @@ class TestInterpolationAndError:
         got = interpolate_p1(vals, mesh, 37.5, 75.0)
         assert got.shape == (1, 1) and got[0, 0] == 19.0
 
+    def test_integer_values_interpolate_as_floats(self):
+        mesh = Mesh2D(300.0, 150.0, 8, 4)
+        xs = np.linspace(0.0, 150.0, 7)
+        got = interpolate_p1(np.arange(len(mesh)), mesh, xs, xs)
+        want = interpolate_p1(np.arange(len(mesh), dtype=float), mesh, xs, xs)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("arg, bad", [
         ("values", "values has 288 entries but the mesh has 289 nodes"),
         ("ref_values", "ref_values has 288 entries but the mesh has 1089 "
@@ -1072,6 +1119,41 @@ class TestInterpolationAndError:
         args[arg] = np.ones(288)
         with pytest.raises(ValueError, match=bad):
             relative_l2(args["values"], mesh, args["ref_values"], ref_mesh,
+                        300.0, 300.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=error_case())
+    def test_relative_l2_matches_the_outer_product_weights(self, case):
+        values, mesh, ref, ref_mesh, n1, n2 = case
+        got = relative_l2(values, mesh, ref, ref_mesh,
+                          n1 * ref_mesh.h1, n2 * ref_mesh.h2)
+        want = relative_l2_outer(*case)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_relative_l2_zero_reference_rejected(self):
+        # the relative error of anything against zero is undefined
+        mesh = Mesh2D(300.0, 300.0, 16, 16)
+        ref_mesh = Mesh2D(300.0, 300.0, 32, 32)
+        with pytest.raises(ValueError, match="ref_values are zero"):
+            relative_l2(np.ones(len(mesh)), mesh, np.zeros(len(ref_mesh)),
+                        ref_mesh, 300.0, 300.0)
+
+    def test_relative_l2_nan_value_rejected(self):
+        mesh = Mesh2D(300.0, 300.0, 16, 16)
+        ref_mesh = Mesh2D(300.0, 300.0, 32, 32)
+        values = np.ones(len(mesh))
+        values[40] = np.nan
+        with pytest.raises(ValueError, match="values are not finite"):
+            relative_l2(values, mesh, np.ones(len(ref_mesh)), ref_mesh,
+                        300.0, 300.0)
+
+    def test_relative_l2_nan_reference_rejected(self):
+        mesh = Mesh2D(300.0, 300.0, 16, 16)
+        ref_mesh = Mesh2D(300.0, 300.0, 32, 32)
+        ref = np.ones(len(ref_mesh))
+        ref[100] = np.nan
+        with pytest.raises(ValueError, match="ref_values are not finite"):
+            relative_l2(np.ones(len(mesh)), mesh, ref, ref_mesh,
                         300.0, 300.0)
 
     def test_relative_l2_identical_is_zero(self):
