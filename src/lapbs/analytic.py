@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from .fem1d import _require_real
+
 __all__ = ["bs_put", "l2_error", "reduction_rate"]
 
 
@@ -18,11 +20,8 @@ def bs_put(x, t, strike, r, sigma):
     # at first use: scipy.special adds 60-90 ms to ``import lapbs``
     from scipy.special import ndtr
 
-    for name, value in (("t", t), ("strike", strike), ("sigma", sigma)):
-        if not 0 < value < math.inf:   # a NaN fails too
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r}")
+    _require_real(t=t, strike=strike, sigma=sigma)
+    _require_real(positive=False, r=r)
     x = np.asarray(x, dtype=float)
     discounted = strike * math.exp(-r * t)
     with np.errstate(under="ignore"):  # a subnormal spot's ratio

@@ -7,8 +7,9 @@ each step applies (2/dt)*M - S and back-solves, so the two methods
 discretize the identical operator.  The marches price the put problems
 only: the payoff is the initial data, the 1D ends hold K*exp(-r*t) at
 x = 0 and 0 at x = L, and the 2D edges are ``EdgeSpec()``'s (zero flux at
-the axes, 0 at the far edges).  In 1D the Dirichlet rows are eliminated
-in the pencil, and each step pins the end values; the factor is LAPACK's
+the axes, 0 at the far edges).  In 1D the step matrix's row 0 is made an
+identity row, where the pencil has its x = 0 equation, and each step
+writes both end values into the right side; the factor is LAPACK's
 tridiagonal LU (``dgttrf``/``dgttrs``), and the initial projection is one
 ``dgtsv`` call by ``fem1d._gtsv``, as each Laplace node's solve is.  In 2D
 the march runs in the pencil's unknowns and returns ``expand`` of the
@@ -37,12 +38,12 @@ class MarchConfig:
 
 
 def march1d(mesh, market, config):
-    """theta = 1/2 two-level scheme for the put; the end values are
-    pinned each step."""
-    ends = lambda t: (market.strike * np.exp(-market.r * t), 0.0)
+    """theta = 1/2 two-level scheme for the put; each step sets the end
+    values, K*exp(-r*t) at x = 0 and 0 at x = L."""
     p = fem1d.pencil(mesh, market)
     dt = market.maturity / config.steps
     lhs = p.S + (2.0 / dt) * p.M
+    lhs[1, 0] = 1.0   # the exact boundary value, not the x = 0 equation
     # the tridiagonal LU once (lower, main, upper band); each step back-solves
     *lu, info = dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
     if info:
@@ -50,23 +51,23 @@ def march1d(mesh, market, config):
     rhs_op = (2.0 / dt) * p.M - p.S
 
     # L2-projected initial data: consistent with the Galerkin space and
-    # free of the kink-interpolation overshoot on coarse meshes
+    # free of the kink-interpolation overshoot on coarse meshes; M's row 0
+    # and the load give u[0] = K, and its row n-1 is made an identity row
     proj = p.M.copy()
-    proj[1, p.fixed] = 1.0
-    b = p.load.copy()
-    b[p.fixed] = ends(0.0)
-    u = fem1d._gtsv(proj, b)
+    proj[1, -1] = 1.0
+    u = fem1d._gtsv(proj, p.load)
     # fem1d._residual into two rows made once: they take turns as a step's
     # right side, which dgttrs overwrites with its solution, and as its u
     up, main, low = rhs_op[0, 1:], rhs_op[1], rhs_op[2, :-1]
-    part, rows = np.empty(len(up)), np.array([b, u])
+    part, rows = np.empty(len(up)), np.array([p.load, u])
     views = [(x, x[:-1], x[1:]) for x in rows]
     for n in range(config.steps):
         (b, b_lo, b_hi), (u, u_lo, u_hi) = views[n % 2], views[1 - n % 2]
         np.multiply(main, u, out=b)
         b_lo += np.multiply(up, u_hi, out=part)
         b_hi += np.multiply(low, u_lo, out=part)
-        b[p.fixed] = ends((n + 1) * dt)
+        b[0] = market.strike * np.exp(-market.r * ((n + 1) * dt))
+        b[-1] = 0.0
         dgttrs(*lu, b, overwrite_b=True)
     return b.copy()
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem1d import _require_count, _require_positive
+from .fem1d import _require_count, _require_real
 
 __all__ = [
     "ContourParams",
@@ -34,9 +34,8 @@ class ContourParams:
     n: int
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma}")
-        _require_positive(self, "tau", "nu", "s")
+        _require_real(positive=False, gamma=self.gamma)
+        _require_real(tau=self.tau, nu=self.nu, s=self.s)
         _require_count("n", self.n, 1, "node")
 
     @property
@@ -51,8 +50,8 @@ def mu(r_sup, sigma_floor, sigma_z_norm, constant_sigma):
     For constant volatility this is (r - sigma^2)^2 / sigma^2; for variable
     volatility the norm-based variant (r + 2*|sigma|_Z^2)^2 / sigma_floor^2.
     """
-    if sigma_floor <= 0:
-        raise ValueError(f"sigma_floor must be positive, got {sigma_floor}")
+    _require_real(positive=False, r_sup=r_sup, sigma_z_norm=sigma_z_norm)
+    _require_real(sigma_floor=sigma_floor)
     if constant_sigma:
         return (r_sup - sigma_floor**2) ** 2 / sigma_floor**2
     return (r_sup + 2.0 * sigma_z_norm**2) ** 2 / sigma_floor**2
@@ -90,8 +89,9 @@ def quadrature_nodes(p):
 def validate(p, kappa):
     """Check contour admissibility; returns (ok, list of violation strings).
 
-    ``ContourParams`` already rejects a non-finite gamma, a nonpositive or
-    non-finite tau, nu or s, and an n that is not an integer >= 1.
+    ``ContourParams`` already rejects a bool or a non-real value, a
+    non-finite gamma, a nonpositive or non-finite tau, nu or s, and an n
+    that is not an integer >= 1.
     """
     violations = []
     if not p.crossing > kappa:

@@ -102,6 +102,9 @@ def load_config(path=None, example=None):
         return default_config(example)
     with open(path) as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, "
+                         f"got {type(data).__name__}")
     if example is not None:
         data["example"] = example
     types = {f.name: f.type for f in fields(ExperimentConfig)}

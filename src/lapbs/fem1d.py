@@ -5,9 +5,10 @@ The transformed problem on the truncated interval (0, L) is
     z*u - (1/2)*sigma^2*x^2*u'' - r*x*u' + r*u = u0,
 
 assembled in weak form with exact element integrals (the coefficients are
-polynomials, so every entry is closed-form).  The x = 0 node is always a
-Dirichlet node; the right end is either Dirichlet or a transparent Robin
-condition built from the exterior solution's logarithmic derivative.
+polynomials, so every entry is closed-form).  At x = 0 the operator
+loses its x^2 and x terms, so that node's row is (z + r)*u = u0(0); the
+right end is either Dirichlet or a transparent Robin condition built
+from the exterior solution's logarithmic derivative.
 One solve at a shift z is ``solve(pencil(mesh, market, right_bc).at(z))``:
 the pencil is built once per problem and serves every z, and each solve is
 one call of LAPACK's tridiagonal ``?gtsv`` plus a residual guard.
@@ -15,8 +16,8 @@ one call of LAPACK's tridiagonal ``?gtsv`` plus a residual guard.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, zgtsv
@@ -26,7 +27,6 @@ __all__ = [
     "Mesh1D",
     "RIGHT_BCS",
     "payoff_put",
-    "left_dirichlet_transform",
     "robin_coefficient",
     "Pencil",
     "pencil",
@@ -34,13 +34,15 @@ __all__ = [
 ]
 
 
-def _require_positive(obj, *names):
-    """Raise ValueError unless each named attribute is finite and > 0
-    (a NaN fails too)."""
-    for name in names:
-        value = getattr(obj, name)
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+def _require_real(positive=True, **values):
+    """Raise ValueError naming the first of ``values`` (name=value) that is
+    not a real number, is a bool, NaN or +-inf, or is <= 0 if
+    ``positive``."""
+    for name, value in values.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not (0 if positive else -math.inf) < value < math.inf):
+            raise ValueError(f"{name} must be {'positive and ' * positive}"
+                             f"finite, got {value!r}")
 
 
 def _require_count(name, value, least, noun):
@@ -61,9 +63,9 @@ class Market1D:
     L: float
 
     def __post_init__(self):
-        if not math.isfinite(self.r):
-            raise ValueError(f"r must be finite, got {self.r}")
-        _require_positive(self, "sigma", "strike", "maturity", "L")
+        _require_real(positive=False, r=self.r)
+        _require_real(sigma=self.sigma, strike=self.strike,
+                      maturity=self.maturity, L=self.L)
         if self.L < self.strike:
             raise ValueError("truncation L must not cut the payoff support")
 
@@ -73,8 +75,8 @@ class Mesh1D:
 
     def __init__(self, L, m):
         _require_count("m", m, 2, "elements")
+        _require_real(L=L)
         self.L = float(L)
-        _require_positive(self, "L")
         self.m = int(m)
         self.h = self.L / self.m
         self.x = np.linspace(0.0, self.L, self.m + 1)
@@ -90,13 +92,6 @@ RIGHT_BCS = ("dirichlet0", "transparent")
 def payoff_put(x, strike):
     """European put payoff (K - x)_+."""
     return np.maximum(strike - np.asarray(x, dtype=float), 0.0)
-
-
-def left_dirichlet_transform(z, strike, r):
-    """Laplace transform of the x=0 boundary data K*exp(-r*t)."""
-    if z == -r:
-        raise ZeroDivisionError("transform singular at z = -r")
-    return strike / (z + r)
 
 
 def robin_coefficient(z, r, sigma, L):
@@ -134,24 +129,22 @@ def _load_vector(mesh, u0, kink=None):
 
 @dataclass(frozen=True)
 class Pencil:
-    """The systems of one problem along z: A(z) = S + z*M + sum_k c_k(z)*B_k.
+    """The systems of one problem along z: A(z) = S + z*M + sum_k c_k(z)*B_k,
+    each with the right-hand side ``load``, which does not depend on z.
 
-    Built once per problem, so a node costs one axpy plus the
-    right-hand-side pins: ``values(z)`` at the ``fixed`` rows, ``load``
-    elsewhere.  In 1D the matrices are (3, n) bands over the nodes, gtsv's
-    three diagonals: row 0 the upper (``[0, j]`` is A[j-1, j]), row 1 the
-    main and row 2 the lower (``[2, j]`` is A[j+1, j]), with the Dirichlet
-    rows eliminated (identity rows in S, zero rows in M and in each B_k).
-    In 2D every Dirichlet value is 0, so they are CSC on one shared pattern
-    over the pencil's own unknowns, and nothing is pinned; ``expand`` maps
-    a solution back to the nodes.  Crank-Nicolson steps with S + (2/dt)*M.
+    Built once per problem, so a node costs one axpy.  In 1D the matrices
+    are (3, n) bands over the nodes, gtsv's three diagonals: row 0 the
+    upper (``[0, j]`` is A[j-1, j]), row 1 the main and row 2 the lower
+    (``[2, j]`` is A[j+1, j]); a Dirichlet row at x = L is eliminated (an
+    identity row in S, zero rows in M and in each B_k, load 0).  In 2D
+    every Dirichlet value is 0, so they are CSC on one shared pattern over
+    the pencil's own unknowns; ``expand`` maps a solution back to the
+    nodes.  Crank-Nicolson steps with S + (2/dt)*M.
     """
 
     S: object
     M: object
     load: np.ndarray
-    fixed: np.ndarray
-    values: Callable[[complex], object]
     robin: tuple = ()   # (c_k, B_k) pairs
     expand: object = None   # 2D: nodes x unknowns, orthonormal columns
 
@@ -171,9 +164,7 @@ class Pencil:
                 data += c(z) * b.data
             a = type(self.M)((data, self.M.indices, self.M.indptr),
                              shape=self.M.shape)
-        rhs = self.load.astype(complex)
-        rhs[self.fixed] = self.values(z)
-        return a, rhs
+        return a, self.load.astype(complex)
 
 
 def _robin_term(r, a, L):
@@ -195,9 +186,11 @@ def _bands(d_left, d_right, up, lo, n):
 
 
 def pencil(mesh, market, right_bc="dirichlet0"):
-    """The put's :class:`Pencil`, in bands, with its boundary data: K/(z+r)
-    at x = 0, and at x = L either 0 ("dirichlet0") or the transparent
-    Robin term ("transparent").  The load is the put payoff's, integrated
+    """The put's :class:`Pencil`, in bands.  Row 0 is the equation left at
+    x = 0, (z + r)*u = K (S[0, 0] = r, M[0, 0] = 1, load K), solved by
+    K/(z + r), the transform of the boundary data K*exp(-r*t).  At x = L
+    the put is 0 ("dirichlet0") or takes the transparent Robin term
+    ("transparent").  The other loads are the payoff's, integrated
     exactly with each element split at the strike."""
     if right_bc not in RIGHT_BCS:
         raise ValueError(f"unknown right_bc {right_bc!r}; "
@@ -216,24 +209,20 @@ def pencil(mesh, market, right_bc="dirichlet0"):
     mass = _bands(h / 3.0, h / 3.0, h / 6.0, h / 6.0, n)
     spatial = _bands(k_el - cc * ixl, k_el + cc * ixr, -k_el + cc * ixl,
                      -k_el - cc * ixr, n) + r * mass
-
-    # x = 0 is always Dirichlet (the operator degenerates there)
-    left = lambda z: left_dirichlet_transform(z, market.strike, r)
+    load = _load_vector(mesh, lambda xx: payoff_put(xx, market.strike),
+                        kink=market.strike)
+    # row 0's entries are bands[1, 0] and A[0, 1] = bands[0, 1]
+    spatial[0, 1] = mass[0, 1] = 0.0
+    spatial[1, 0], mass[1, 0], load[0] = r, 1.0, market.strike
+    robin = ()
     if right_bc == "transparent":
-        fixed, values = np.array([0]), left
         edge = np.zeros((3, n))
         edge[1, -1] = 1.0
         robin = ((_robin_term(r, s2, mesh.L), edge),)
-    else:
-        fixed, values = np.array([0, n - 1]), lambda z: (left(z), 0.0)
-        robin = ()
-    # row of each band entry: bands[0, j] is row j-1, bands[2, j] row j+1
-    pinned = np.isin(np.arange(n) + np.array([[-1], [0], [1]]), fixed)
-    spatial[pinned] = mass[pinned] = 0.0
-    spatial[1, fixed] = 1.0
-    load = _load_vector(mesh, lambda xx: payoff_put(xx, market.strike),
-                        kink=market.strike)
-    return Pencil(spatial, mass, load, fixed, values, robin)
+    else:   # row n-1's: bands[1, -1] and A[n-1, n-2] = bands[2, -2]
+        spatial[2, -2] = mass[2, -2] = mass[1, -1] = 0.0
+        spatial[1, -1], load[-1] = 1.0, 0.0
+    return Pencil(spatial, mass, load, robin)
 
 
 def solve(system):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .fem1d import (RIGHT_BCS, Pencil, _require_count, _require_positive,
+from .fem1d import (RIGHT_BCS, Pencil, _bands, _require_count, _require_real,
                     _robin_term)
 
 __all__ = [
@@ -51,9 +51,9 @@ class Basket2D:
     L2: float
 
     def __post_init__(self):
-        if not math.isfinite(self.r):
-            raise ValueError(f"r must be finite, got {self.r}")
-        _require_positive(self, "a11", "a22", "strike", "maturity", "L1", "L2")
+        _require_real(positive=False, r=self.r, a12=self.a12)
+        _require_real(a11=self.a11, a22=self.a22, strike=self.strike,
+                      maturity=self.maturity, L1=self.L1, L2=self.L2)
         if not self.a12 * self.a12 < self.a11 * self.a22:
             raise ValueError("diffusion matrix must be positive definite")
 
@@ -64,8 +64,8 @@ class Mesh2D:
     def __init__(self, L1, L2, m1, m2):
         _require_count("m1", m1, 1, "element per side")
         _require_count("m2", m2, 1, "element per side")
+        _require_real(L1=L1, L2=L2)
         self.L1, self.L2 = float(L1), float(L2)
-        _require_positive(self, "L1", "L2")
         self.m1, self.m2 = int(m1), int(m2)
         self.h1 = self.L1 / self.m1
         self.h2 = self.L2 / self.m2
@@ -204,18 +204,17 @@ def pencil(mesh, basket, edges):
     for edge, a, L, h, step in (("x1_far", basket.a11, mesh.L1, mesh.h2, 5),
                                 ("x2_far", basket.a22, mesh.L2, mesh.h1, 4)):
         if getattr(edges, edge) == "transparent":
-            # B_k, the 1D P1 mass h/6 [2, 1; 1, 2] a segment of the last
-            # column (i = m1) or row (j = m2); _STENCIL[step] is the next
-            # node along it, _STENCIL[6 - step] the one before
+            # B_k, the put's 1D P1 mass along the last column (i = m1) or
+            # row (j = m2); _STENCIL[step] is the next node along it,
+            # _STENCIL[6 - step] the one before
             d = np.zeros((7, m2 + 1, m1 + 1))
             line = d[..., -1] if edge == "x1_far" else d[:, -1]
-            diagonal, off = (h / 6.0) * np.array([2.0, 1.0])
-            line[3, :-1] += diagonal
-            line[3, 1:] += diagonal
-            line[step, :-1] = line[6 - step, 1:] = off
+            band = _bands(h / 3.0, h / 3.0, h / 6.0, h / 6.0, line.shape[1])
+            line[3] = band[1]
+            line[step, :-1] = line[6 - step, 1:] = band[2, :-1]   # symmetric
             robin.append((_robin_term(basket.r, a, L), fold(d.ravel()[where])))
     return Pencil(fold(spatial.data), fold(mass.data), expand.T @ load,
-                  np.empty(0, dtype=int), lambda z: 0.0, tuple(robin), expand)
+                  tuple(robin), expand)
 
 
 @functools.lru_cache(maxsize=4)

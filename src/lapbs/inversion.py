@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contour import ContourParams, quadrature_nodes
+from .fem1d import _require_real
 
 __all__ = ["TransformEnsemble", "invert_at", "invert_many", "direct_trapezoid"]
 
@@ -45,8 +46,7 @@ class TransformEnsemble:
 
 def invert_at(ensemble, t, return_residual=False):
     """Evaluate the quadrature inversion sum at one time t."""
-    if not 0 < t < math.inf:   # a NaN fails too
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _require_real(t=t)
     k = ensemble.weight * np.exp(ensemble.z * t)
     u = ensemble.values
     head = k[0] * u[0]

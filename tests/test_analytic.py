@@ -71,6 +71,15 @@ class TestBsPut:
             with pytest.raises(ValueError, match="finite"):
                 bs_put(50.0, t, strike, r, sigma)
 
+    @pytest.mark.parametrize("bad, name", [
+        (dict(t=True), "t"), (dict(strike="50"), "strike"),
+        (dict(r=True), "r"), (dict(r=0.05j), "r"), (dict(sigma=None), "sigma"),
+    ], ids=["bool_t", "str_strike", "bool_r", "complex_r", "none_sigma"])
+    def test_non_real_and_bool_inputs_name_the_field(self, bad, name):
+        args = dict(dict(t=1.0, strike=50.0, r=0.05, sigma=0.3), **bad)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            bs_put(50.0, **args)
+
     def test_array_input(self):
         got = bs_put(np.array([0.0, 50.0]), 1.0, 50.0, 0.05, 0.3)
         assert got[1] == pytest.approx(PUT_50_ATM, abs=1e-10)

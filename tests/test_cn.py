@@ -60,6 +60,7 @@ class TestMarch1D:
 
         z = 2.0 / MARKET.maturity
         a, _ = p.at(z)
+        a[1, 0] = 1.0   # the boundary value in place of the x = 0 equation
         b1 = fem1d._residual(z * p.M - p.S, u0).astype(complex)
         b1[[0, -1]] = MARKET.strike * np.exp(-MARKET.r * MARKET.maturity), 0.0
         want = fem1d.solve((a, b1)).real
@@ -77,10 +78,12 @@ class TestMarch1D:
         b = p.load.copy()
         b[[0, -1]] = MARKET.strike, 0.0
         u = solve_banded((1, 1), proj, b)
+        lhs = p.S + (2.0 / dt) * p.M
+        lhs[1, 0] = 1.0   # the boundary value in place of the x = 0 equation
         for n in range(1, steps + 1):
             b = fem1d._residual((2.0 / dt) * p.M - p.S, u)
             b[[0, -1]] = MARKET.strike * np.exp(-MARKET.r * n * dt), 0.0
-            u = solve_banded((1, 1), p.S + (2.0 / dt) * p.M, b)
+            u = solve_banded((1, 1), lhs, b)
         got = cn.march1d(mesh, MARKET, cn.MarchConfig(steps))
         np.testing.assert_allclose(got, u, rtol=1e-13, atol=1e-13)
 
@@ -91,6 +94,7 @@ class TestMarch1D:
         p = fem1d.pencil(mesh, MARKET)
         dt = MARKET.maturity / 640
         lhs = p.S + (2.0 / dt) * p.M
+        lhs[1, 0] = 1.0   # the boundary value in place of the x = 0 equation
         *lu, _ = dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
         proj = p.M.copy()
         proj[1, [0, -1]] = 1.0

@@ -42,6 +42,17 @@ class TestMu:
         with pytest.raises(ValueError):
             mu(0.05, 0.0, 0.3, True)
 
+    @pytest.mark.parametrize("args, name", [
+        ((0.05, float("nan"), 0.3), "sigma_floor"),
+        ((0.05, True, 0.3), "sigma_floor"),
+        ((float("inf"), 0.3, 0.3), "r_sup"),
+        (("0.05", 0.3, 0.3), "r_sup"),
+        ((0.05, 0.3, float("nan")), "sigma_z_norm"),
+    ], ids=["nan_floor", "bool_floor", "inf_r", "str_r", "nan_norm"])
+    def test_non_finite_or_non_real_input_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            mu(*args, True)
+
 
 class TestKappaBound:
     def test_paper_value(self):

@@ -90,6 +90,28 @@ class TestConfig:
         assert f"'{key}'" in str(err.value) and "'n': 15" in str(err.value)
         assert not out.exists()
 
+    def test_bool_contour_field_writes_nothing(self, tmp_path):
+        row = {"gamma": 67.38, "nu": 62.09, "s": 0.4213, "tau": True, "n": 15}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"meshes": [10, 20], "contours": [row]}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^tau must be positive and"):
+            cli.main(["run", "--example", "ex1", "--config", str(path),
+                      "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data", [[1], "ex1", 3, None],
+                             ids=["list", "str", "number", "null"])
+    def test_non_object_config_writes_nothing(self, tmp_path, data):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="must hold a JSON object") as err:
+            cli.main(["run", "--example", "ex1", "--config", str(path),
+                      "--out", str(out)])
+        assert str(path) in str(err.value)
+        assert not out.exists()
+
     @pytest.mark.parametrize("example", ["ex1", "ex2"])
     def test_missing_n15_row_writes_nothing(self, tmp_path, example):
         gamma, nu, tau = experiments.TABLE3_ROWS[12]

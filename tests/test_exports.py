@@ -1,6 +1,8 @@
 """Every ``lapbs`` module's ``__all__`` names only what the module has,
-every cache is bounded, and ``import lapbs`` stays light."""
+every cache is bounded, every checked float field rejects a bool, a string
+and NaN, and ``import lapbs`` stays light."""
 
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -10,8 +12,19 @@ import sys
 import pytest
 
 import lapbs
+from lapbs.contour import ContourParams
+from lapbs.fem1d import Market1D
+from lapbs.fem2d import Basket2D
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lapbs.__path__))
+
+# one valid instance of each dataclass that checks float fields
+VALID = {
+    "fem1d.Market1D": Market1D(0.05, 0.3, 50.0, 1.0, 200.0),
+    "fem2d.Basket2D": Basket2D(0.05, 0.09, 0.09, -0.018, 100.0, 1.0, 300.0,
+                               300.0),
+    "contour.ContourParams": ContourParams(67.38, 62.09, 0.4213, 0.04556, 15),
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -40,6 +53,27 @@ def test_every_cache_is_bounded():
     assert {"fem2d._stencil_pattern", "fem2d._layout"} <= set(caches)
     unbounded = [name for name, size in caches.items() if size is None]
     assert not unbounded, f"unbounded caches: {unbounded}"
+
+
+def test_every_checked_float_field_rejects_bool_str_and_nan():
+    # the walk finds each class whose __post_init__ checks float fields;
+    # a new one fails here until VALID has an instance of it
+    found = {}
+    for name in MODULES:
+        module = importlib.import_module(f"lapbs.{name}")
+        for attr, c in vars(module).items():
+            if (dataclasses.is_dataclass(c) and c.__module__ == module.__name__
+                    and "__post_init__" in vars(c)):
+                floats = [f.name for f in dataclasses.fields(c)
+                          if f.type in (float, "float")]
+                if floats:
+                    found[f"{name}.{attr}"] = floats
+    assert set(found) == set(VALID)
+    for key, floats in found.items():
+        for field in floats:
+            for bad in (True, "1", float("nan")):
+                with pytest.raises(ValueError, match=f"^{field} must be"):
+                    dataclasses.replace(VALID[key], **{field: bad})
 
 
 def test_import_does_not_load_scipy_special():

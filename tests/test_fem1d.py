@@ -12,9 +12,8 @@ from lapbs.analytic import l2_error, reduction_rate
 from lapbs.contour import quadrature_nodes
 from lapbs.experiments import default_config
 from lapbs.fem1d import (RIGHT_BCS, Market1D, Mesh1D, _load_vector,
-                         left_dirichlet_transform, p1_b_form, p1_l2_sq,
-                         p1_weighted_semi_sq, payoff_put, pencil,
-                         robin_coefficient, solve)
+                         p1_b_form, p1_l2_sq, p1_weighted_semi_sq, payoff_put,
+                         pencil, robin_coefficient, solve)
 
 MARKET = Market1D(r=0.05, sigma=0.3, strike=50.0, maturity=1.0, L=50.0)
 
@@ -38,7 +37,8 @@ class TestMeshAndPayoff:
             with pytest.raises(ValueError):
                 Mesh1D(50.0, m)
 
-    @pytest.mark.parametrize("L", [-5.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("L", [-5.0, 0.0, float("nan"), float("inf"),
+                                   True, "50", None])
     def test_mesh_needs_positive_finite_length(self, L):
         with pytest.raises(ValueError, match="positive and finite"):
             Mesh1D(L, 10)
@@ -62,13 +62,18 @@ class TestMeshAndPayoff:
 
 
 class TestLeftTransform:
+    # row 0 is (z + r)*u = K, solved by K/(z + r), the transform of the
+    # boundary data K*exp(-r*t)
     def test_value(self):
-        assert left_dirichlet_transform(2.0, 50.0, 0.05) == pytest.approx(
-            50.0 / 2.05)
+        p = pencil(Mesh1D(50.0, 10), MARKET)
+        for z in (2.0, 2.0 + 3.0j):
+            u = solve(p.at(z))
+            assert u[0] == pytest.approx(50.0 / (z + 0.05), rel=1e-15)
 
     def test_singularity(self):
-        with pytest.raises(ZeroDivisionError):
-            left_dirichlet_transform(-0.05, 50.0, 0.05)
+        # a shift at z = -r zeroes row 0
+        with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+            solve(pencil(Mesh1D(50.0, 10), MARKET).at(-0.05))
 
 
 def load_both_halves(mesh, u0, kink=None):
@@ -137,8 +142,8 @@ class TestAssembleOracle:
         mesh = Mesh1D(50.0, 10)
         z = 1.5 + 0.5j
         bands, rhs = pencil(mesh, MARKET).at(z)
-        assert bands[1, 0] == 1.0 and bands[0, 1] == 0.0
-        assert rhs[0] == pytest.approx(50.0 / (z + 0.05))
+        assert bands[1, 0] == z + 0.05 and bands[0, 1] == 0.0
+        assert rhs[0] == 50.0
         assert bands[1, -1] == 1.0 and bands[2, -2] == 0.0
         assert rhs[-1] == 0.0
 
@@ -147,6 +152,15 @@ def dense(bands):
     """Full matrix of (3, n) bands: upper, main and lower diagonal."""
     return (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
             + np.diag(bands[2, :-1], -1))
+
+
+def pinned(p, z, market=MARKET):
+    """``p.at(z)`` with x = 0 pinned as the pencil once held it: an
+    identity row 0 and the boundary transform K/(z + r) on the right."""
+    bands, rhs = p.at(z)
+    bands[1, 0] = 1.0
+    rhs[0] = market.strike / (z + market.r)
+    return bands, rhs
 
 
 class TestPencil:
@@ -171,13 +185,35 @@ class TestPencil:
             want[-1, -1] -= 0.5 * MARKET.sigma**2 * mesh.L**2 * c
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
-        fixed = [0] if robin else [0, 10]
-        assert list(p.fixed) == fixed
-        for i in fixed:
-            assert np.array_equal(got[i], np.eye(11)[i])
-        assert rhs[0] == pytest.approx(50.0 / (z + 0.05))
+        # row 0 is (z + r)*u = K; a Dirichlet right end is an identity row
+        assert np.array_equal(got[0], (z + 0.05) * np.eye(11)[0])
+        assert rhs[0] == 50.0
         if not robin:
+            assert np.array_equal(got[10], np.eye(11)[10])
             assert rhs[-1] == 0.0
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    @pytest.mark.parametrize("right_bc", RIGHT_BCS)
+    def test_solved_x0_is_the_boundary_transform(self, example, right_bc):
+        cfg = default_config(example)
+        market = cfg.market()
+        p = pencil(Mesh1D(cfg.L, 640), market, right_bc)
+        for contour in cfg.contours:   # every Table-3 node
+            for z in quadrature_nodes(contour)[0].tolist():
+                want = market.strike / (z + market.r)
+                assert abs(solve(p.at(z))[0] - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    @pytest.mark.parametrize("right_bc", RIGHT_BCS)
+    def test_rows_agree_with_the_pinned_formulation(self, example, right_bc):
+        cfg = default_config(example)
+        market = cfg.market()
+        for m in (40, 640, 2560):
+            p = pencil(Mesh1D(cfg.L, m), market, right_bc)
+            for z in quadrature_nodes(cfg.contour(15))[0].tolist():
+                u = solve(p.at(z))
+                want = solve(pinned(p, z, market))
+                assert np.max(np.abs(u - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("right_bc", RIGHT_BCS)
     def test_at_never_writes_into_the_pencil(self, right_bc):
@@ -258,8 +294,9 @@ class TestSolve:
         errors = []
         for m in (16, 32, 64):
             mesh = Mesh1D(L, m)
-            p = replace(pencil(mesh, MARKET), load=_load_vector(mesh, f))
-            u = solve(replace(p, values=lambda _: (0.0, 0.0)).at(z))
+            load = _load_vector(mesh, f)
+            load[[0, -1]] = 0.0   # (z + r)*u(0) = f(0) = 0, and u(L) = 0
+            u = solve(replace(pencil(mesh, MARKET), load=load).at(z))
             errors.append(l2_error(u.real, exact, mesh))
         assert reduction_rate(errors[0], errors[1]) == pytest.approx(2.0, abs=0.1)
         assert reduction_rate(errors[1], errors[2]) == pytest.approx(2.0, abs=0.1)
@@ -275,8 +312,7 @@ class TestSolve:
     def test_zero_data_gives_zero(self):
         mesh = Mesh1D(50.0, 20)
         p = pencil(mesh, MARKET)
-        u = solve(replace(p, load=np.zeros_like(p.load),
-                          values=lambda _: (0.0, 0.0)).at(2.0))
+        u = solve(replace(p, load=np.zeros_like(p.load)).at(2.0))
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
     def test_robin_matches_dirichlet_on_large_domain(self):
@@ -304,9 +340,7 @@ class TestSolve:
 
     def test_real_bands_give_a_real_solution(self):
         p = pencil(Mesh1D(50.0, 40), MARKET)
-        bands = p.S + 2.0 * p.M
-        rhs = p.load.copy()
-        rhs[p.fixed] = p.values(2.0)
+        bands, rhs = p.S + 2.0 * p.M, p.load
         u = solve((bands, rhs))
         assert u.dtype == np.float64
         assert np.array_equal(u, solve_banded((1, 1), bands, rhs))

@@ -95,7 +95,8 @@ class TestMeshAndPayoff:
 
     @pytest.mark.parametrize("L1, L2", [(-300.0, 300.0), (300.0, 0.0),
                                         (float("nan"), 300.0),
-                                        (300.0, float("inf"))])
+                                        (300.0, float("inf")), (True, 300.0),
+                                        (300.0, "300")])
     def test_mesh_needs_positive_finite_sides(self, L1, L2):
         with pytest.raises(ValueError, match="positive and finite"):
             Mesh2D(L1, L2, 4, 4)

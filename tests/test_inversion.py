@@ -76,6 +76,9 @@ class TestInvertAt:
         for t in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 invert_at(ens, t)
+        for t in (True, "1", 1j):
+            with pytest.raises(ValueError, match="^t must be positive and"):
+                invert_at(ens, t)
 
     def test_residual_diagnostics_recorded(self):
         ens = TransformEnsemble.from_evaluator(
