@@ -49,12 +49,19 @@ def mu(r_sup, sigma_floor, sigma_z_norm, constant_sigma):
 
     For constant volatility this is (r - sigma^2)^2 / sigma^2; for variable
     volatility the norm-based variant (r + 2*|sigma|_Z^2)^2 / sigma_floor^2.
+    ValueError naming the inputs if it overflows or divides by a
+    sigma_floor^2 that underflows to 0.
     """
     _require_real(positive=False, r_sup=r_sup, sigma_z_norm=sigma_z_norm)
     _require_real(sigma_floor=sigma_floor)
-    if constant_sigma:
-        return (r_sup - sigma_floor**2) ** 2 / sigma_floor**2
-    return (r_sup + 2.0 * sigma_z_norm**2) ** 2 / sigma_floor**2
+    try:   # Python floats raise on overflow in ** and on division by 0.0
+        if constant_sigma:
+            return (r_sup - sigma_floor**2) ** 2 / sigma_floor**2
+        return (r_sup + 2.0 * sigma_z_norm**2) ** 2 / sigma_floor**2
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"mu is out of range at r_sup={r_sup!r}, sigma_floor="
+                         f"{sigma_floor!r}, sigma_z_norm={sigma_z_norm!r}"
+                         ) from None
 
 
 def kappa_bound(s, mu_val):

@@ -1,9 +1,10 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 from scipy.sparse.linalg import splu
 
 from lapbs import cn, fem1d, fem2d
@@ -18,6 +19,24 @@ BASKET = fem2d.Basket2D(0.05, 0.09, 0.09, -0.018, 100.0, 1.0, 300.0, 300.0)
 
 def exact(x):
     return bs_put(x, 1.0, 50.0, 0.05, 0.3)
+
+
+def pivoted_march(mesh, market, steps):
+    """The 1D march on every node, with row 0 an identity row, one dgttrf
+    and a pivoted dgttrs step each on a fresh fem1d._residual array."""
+    p = fem1d.pencil(mesh, market)
+    dt = market.maturity / steps
+    lhs = p.S + (2.0 / dt) * p.M
+    lhs[1, 0] = 1.0   # the boundary value in place of the x = 0 equation
+    *lu, _ = dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
+    proj = p.M.copy()
+    proj[1, -1] = 1.0
+    u = fem1d._gtsv(proj, p.load)
+    for n in range(1, steps + 1):
+        b = fem1d._residual((2.0 / dt) * p.M - p.S, u)
+        b[[0, -1]] = market.strike * np.exp(-market.r * n * dt), 0.0
+        u = dgttrs(*lu, b)[0]
+    return u
 
 
 class TestMarch1D:
@@ -89,24 +108,79 @@ class TestMarch1D:
 
     def test_step_buffers_match_the_residual_loop_exactly(self):
         # the march writes each right side into two buffers made once; the
-        # reference makes fem1d._residual's fresh arrays every step
+        # reference makes fem1d._residual's and dpttrs' fresh arrays every
+        # step, on the interior bands scaled by S
         mesh = fem1d.Mesh1D(200.0, 640)
         p = fem1d.pencil(mesh, MARKET)
         dt = MARKET.maturity / 640
-        lhs = p.S + (2.0 / dt) * p.M
-        lhs[1, 0] = 1.0   # the boundary value in place of the x = 0 equation
-        *lu, _ = dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
+        lhs, rhs = p.S + (2.0 / dt) * p.M, (2.0 / dt) * p.M - p.S
+        ends = MARKET.strike * np.exp(-MARKET.r * (np.arange(641) * dt))
+        a = lhs[:, 1:-1]
+        dl, d, *_ = dgttrf(a[2, :-1], a[1], a[0, 1:])
+        s = np.cumprod(np.r_[1.0, a[0, 1:] / a[2, :-1]])
         proj = p.M.copy()
-        proj[1, [0, -1]] = 1.0
-        b = p.load.copy()
-        b[[0, -1]] = MARKET.strike, 0.0
-        u = fem1d._gtsv(proj, b)
-        for n in range(1, 641):
-            b = fem1d._residual((2.0 / dt) * p.M - p.S, u)
-            b[[0, -1]] = MARKET.strike * np.exp(-MARKET.r * n * dt), 0.0
-            u = dgttrs(*lu, b)[0]
+        proj[1, -1] = 1.0
+        y = s * fem1d._gtsv(proj, p.load)[1:-1]
+        for n in range(640):
+            b = fem1d._residual(rhs[:, 1:-1] / s, y)
+            b[0] += rhs[2, 0] * ends[n] - lhs[2, 0] * ends[n + 1]
+            y = dpttrs(d / s, dl, b)[0]
         got = cn.march1d(mesh, MARKET, cn.MarchConfig(640))
-        assert np.array_equal(got, u)
+        assert np.array_equal(got, np.r_[ends[-1], y / s, 0.0])
+
+    # m = 2, every Table 1 mesh, and the cn_march benchmark's m = 2560
+    @pytest.mark.parametrize("m", [2, 10, 20, 40, 80, 160, 320, 640, 2560])
+    def test_scaled_step_matches_the_pivoted_march(self, monkeypatch, caplog,
+                                                   m):
+        # the ex1 market never takes the pivoted step, so a silent
+        # fallback to it would fail here
+        def pivoted(*args, **kwargs):
+            raise AssertionError("march1d took the pivoted dgttrs step")
+
+        monkeypatch.setattr(cn, "dgttrs", pivoted)
+        mesh = fem1d.Mesh1D(200.0, m)
+        with caplog.at_level(logging.DEBUG, "lapbs.cn"):
+            got = cn.march1d(mesh, MARKET, cn.MarchConfig(m))
+        assert caplog.messages == ["march1d steps by dpttrs"]
+        want = pivoted_march(mesh, MARKET, m)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("market, m, steps, why", [
+        (replace(MARKET, sigma=1.5), 160, 1, "row swap"),
+        (replace(MARKET, r=1.0, sigma=0.01), 640, 640, "scaling out of range"),
+    ], ids=["row_swap", "scaling_overflow"])
+    def test_falls_back_to_the_pivoted_step(self, monkeypatch, caplog, market,
+                                            m, steps, why):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dgttrs(*args, **kwargs)
+
+        monkeypatch.setattr(cn, "dgttrs", counted)
+        mesh = fem1d.Mesh1D(200.0, m)
+        with caplog.at_level(logging.DEBUG, "lapbs.cn"):
+            got = cn.march1d(mesh, market, cn.MarchConfig(steps))
+        assert caplog.messages == [f"march1d steps by dgttrs ({why})"]
+        assert len(calls) == steps
+        assert np.isfinite(got).all()
+        want = pivoted_march(mesh, market, steps)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_tiny_maturity(self):
+        # at 1e-300 the march keeps the projected payoff; below about
+        # 1e-304, (2/dt)*M overflows and the march names its inputs
+        mesh = fem1d.Mesh1D(200.0, 640)
+        p = fem1d.pencil(mesh, MARKET)
+        proj = p.M.copy()
+        proj[1, -1] = 1.0
+        want = fem1d._gtsv(proj, p.load)
+        got = cn.march1d(mesh, replace(MARKET, maturity=1e-300),
+                         cn.MarchConfig(640))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        with pytest.raises(ValueError, match=r"maturity=1e-305, steps=640$"):
+            cn.march1d(mesh, replace(MARKET, maturity=1e-305),
+                       cn.MarchConfig(640))
 
     def test_boundary_values_imposed(self):
         mesh = fem1d.Mesh1D(200.0, 80)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ class TestMu:
     def test_non_finite_or_non_real_input_rejected(self, args, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             mu(*args, True)
+
+    @pytest.mark.parametrize("args, constant", [
+        ((1e308, 0.3, 0.3), True),
+        ((0.05, 1e200, 1e200), True),
+        ((0.05, 1e-200, 1e-200), True),   # sigma_floor^2 underflows to 0
+        ((0.05, 0.3, 1e200), False),
+    ], ids=["huge_r", "huge_floor", "tiny_floor", "huge_norm"])
+    def test_out_of_range_names_the_inputs(self, args, constant):
+        want = "r_sup={!r}, sigma_floor={!r}, sigma_z_norm={!r}".format(*args)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            mu(*args, constant)
 
 
 class TestKappaBound:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,6 +66,20 @@ class TestConfig:
         path.write_text(json.dumps(dict(config, meshes=[10, 20])))
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=f"^{key} must be a"):
+            cli.main(["run", "--example", "ex1", "--config", str(path),
+                      "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, named", [
+        ({"r": 1e308}, "r_sup=1e+308"),
+        ({"sigma": 1e200}, "sigma_floor=1e+200"),
+    ], ids=["r", "sigma"])
+    def test_mu_out_of_range_writes_nothing(self, tmp_path, config, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(config, meshes=[10, 20])))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^mu is out of range at .*"
+                           + re.escape(named)):
             cli.main(["run", "--example", "ex1", "--config", str(path),
                       "--out", str(out)])
         assert not out.exists()
