@@ -12,8 +12,7 @@ from .fem1d import Market1D, Mesh1D, payoff_put, robin_coefficient
 from .fem2d import (Basket2D, EdgeSpec, Mesh2D, payoff_basket_maxput,
                     relative_l2, solve2d)
 from .cn import MarchConfig, march1d, march2d
-from .inversion import (TransformEnsemble, direct_trapezoid, invert_at,
-                        invert_many)
+from .inversion import TransformEnsemble, invert_at, invert_many
 from .parallel import ProblemSpec, SpeedupRow, solve_ensemble
 
 __version__ = "0.1.0"

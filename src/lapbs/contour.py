@@ -80,10 +80,11 @@ def omega_of_y(y, tau):
 
 def quadrature_nodes(p):
     """The conjugate-half nodes j = 0 ... N-1, in order, as complex arrays
-    ``(z, weight)``; z[0] is real.  Each weight folds in 1/(2*pi*i*N) and
-    both chain-rule derivatives, so the inverse transform is the plain sum
-    of weight * u_hat(z) * exp(z*t); node -j of the full rule is node j
-    conjugated."""
+    ``(z, weight)``; z[0] is real, and so is weight[0] = s/(pi*N*tau) > 0
+    (the inversion's imaginary guard relies on both).  Each weight folds
+    in 1/(2*pi*i*N) and both chain-rule derivatives, so the inverse
+    transform is the plain sum of weight * u_hat(z) * exp(z*t); node -j of
+    the full rule is node j conjugated."""
     y = np.arange(p.n) / p.n
     w = omega_of_y(y, p.tau)
     root = np.hypot(w, p.nu)

@@ -3,11 +3,14 @@
 The contour sum needs only the conjugate-half nodes j = 0 ... N-1, a
 ``(z, weight)`` pair of arrays: for real problem data the j < 0 terms
 are conjugates of their positive partners, so the symmetric sum is
-Re{k_0*u_0} + 2*Re{sum_{j>=1} k_j*u_j} with k_j = weight_j*e^{z_j t}.
-Each time costs one vector-matrix product of k over the node rows.  A
-conjugate pair adds to a real number exactly, so the only imaginary part
-left is node 0's: for real data it is 0, and the guard raises when it
-is not negligible against the result, or when either is not finite.
+Re{sum_j k_j*u_j} with k_j = weight_j*e^{z_j t}, doubled for j >= 1.
+Every time of a batch comes from one real matrix product of the
+coefficients Re k_j, -Im k_j (T x 2N) and the node rows Re u_j, Im u_j
+(2N x ndof), node by node so that each node's two parts meet in the sum.
+A conjugate pair adds to a real number exactly, so the only imaginary
+part left is node 0's, k_0*Im u_0 (z_0 and weight_0 are real): for real
+data it is 0, and the guard raises, naming the time, when it is not
+negligible against that time's result, or when either is not finite.
 """
 
 import math
@@ -18,7 +21,7 @@ import numpy as np
 from .contour import ContourParams, quadrature_nodes
 from .fem1d import _require_real
 
-__all__ = ["TransformEnsemble", "invert_at", "invert_many", "direct_trapezoid"]
+__all__ = ["TransformEnsemble", "invert_at", "invert_many"]
 
 
 @dataclass
@@ -44,47 +47,46 @@ class TransformEnsemble:
         return cls(contour, [[transform(zj)] for zj in z.tolist()])
 
 
-def invert_at(ensemble, t, return_residual=False):
-    """Evaluate the quadrature inversion sum at one time t."""
-    _require_real(t=t)
-    k = ensemble.weight * np.exp(ensemble.z * t)
+def _invert(ensemble, times):
+    """Prices (T x ndof) and imaginary residuals (T,) at ``times``, after
+    checking every time and guarding every result."""
+    for t in times:
+        _require_real(t=t)
     u = ensemble.values
-    head = k[0] * u[0]
-    result = head.real + 2.0 * (k[1:] @ u[1:]).real
-    residual = float(np.max(np.abs(head.imag)))
-    scale = float(np.max(np.abs(result)))
-    if not (math.isfinite(residual) and math.isfinite(scale)):
-        raise RuntimeError(f"non-finite inversion: result scale {scale:g}, "
-                           f"imaginary residual {residual:g}")
-    if scale > 0 and residual > 1e-10 * scale:
-        raise RuntimeError(
-            f"imaginary residual {residual:g} exceeds 1e-10 of result scale"
-        )
-    if result.size == 1:
-        result = float(result[0])
+    weight = 2.0 * ensemble.weight
+    weight[0] = ensemble.weight[0]
+    # an overflowing e^{z t} is left to the guard, which names its time
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = weight * np.exp(np.multiply.outer(np.array(times, dtype=float),
+                                              ensemble.z))
+        # columns Re k_j, -Im k_j against rows Re u_j, Im u_j, j = 0 ... N-1
+        rows = np.stack((u.real, u.imag), axis=1).reshape(-1, u.shape[1])
+        prices = k.conj().view(float) @ rows
+        scales = np.maximum(prices.max(axis=1), -prices.min(axis=1))
+        residuals = np.abs(k[:, 0].real) * np.abs(u[0].imag).max()
+    for t, scale, residual in zip(times, scales.tolist(), residuals.tolist()):
+        if not (math.isfinite(residual) and math.isfinite(scale)):
+            raise RuntimeError(f"non-finite inversion at t={t:g} (result "
+                               f"scale {scale:g}, imaginary residual "
+                               f"{residual:g})")
+        if scale > 0 and residual > 1e-10 * scale:
+            raise RuntimeError(f"imaginary residual {residual:g} exceeds "
+                               f"1e-10 of result scale at t={t:g}")
+    return prices, residuals
+
+
+def invert_at(ensemble, t, return_residual=False):
+    """Evaluate the quadrature inversion sum at one time t; a float for a
+    one-column ensemble, else an array."""
+    prices, residuals = _invert(ensemble, [t])
+    result = float(prices[0, 0]) if prices.shape[1] == 1 else prices[0]
     if return_residual:
-        return result, residual
+        return result, float(residuals[0])
     return result
 
 
 def invert_many(ensemble, times):
-    """One inversion sum per time; the solves are reused, nothing re-solved."""
-    return [invert_at(ensemble, t) for t in times]
-
-
-def direct_trapezoid(alpha, period, n_terms, transform, t):
-    """Vertical-line trapezoid inversion (slowly converging baseline).
-
-    Sum' halves the first and last summands; node spacing is pi/period.
-    """
-    if not 0 < t < period:
-        raise ValueError("t must lie in (0, period)")
-    total = 0.0
-    for k in range(0, n_terms):
-        w = k * np.pi / period
-        u = transform(complex(alpha, w))
-        term = u.real * np.cos(w * t) - u.imag * np.sin(w * t)
-        if k == 0 or k == n_terms - 1:
-            term *= 0.5
-        total += term
-    return float(np.exp(alpha * t) / period * total)
+    """One inversion sum per time, all from one matrix product; the solves
+    are reused, nothing re-solved."""
+    prices, _ = _invert(ensemble, list(times))
+    return prices[:, 0].tolist() if prices.shape[1] == 1 else list(prices)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from lapbs.contour import (ContourParams, kappa_bound, mu, omega_of_y,
                            quadrature_nodes, validate)
-from lapbs.experiments import EX3_CONTOUR
+from lapbs.experiments import CONTOUR_SLOPE, EX3_CONTOUR, TABLE3_ROWS
 
 TABLE3 = {
     3: (13.48, 12.42, 0.16500),
@@ -142,6 +142,23 @@ class TestQuadratureNodes:
         assert weight.tobytes() == ref_weight.tobytes()
         # solve_shifts keeps only the real part of a row at a real shift
         assert z[0].imag == 0.0
+
+    @pytest.mark.parametrize("p", [
+        *(ContourParams(g, nu, CONTOUR_SLOPE, tau, n)
+          for n, (g, nu, tau) in TABLE3_ROWS.items()), EX3_CONTOUR],
+        ids=[*(f"table3_rows_n{n}" for n in TABLE3_ROWS), "ex3"])
+    def test_node_zero_exactly_real(self, p):
+        # the inversion reads node 0's imaginary part as k_0 * Im u_0
+        z, weight = quadrature_nodes(p)
+        assert z[0].imag == 0 and weight[0].imag == 0
+        assert weight[0].real > 0
+
+    @given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+           st.floats(1e-3, 1e3), st.integers(1, 64))
+    def test_node_zero_exactly_real_drawn(self, gamma, nu, s, tau, n):
+        z, weight = quadrature_nodes(ContourParams(gamma, nu, s, tau, n))
+        assert z[0].imag == 0 and weight[0].imag == 0
+        assert weight[0].real > 0
 
     def test_monotone_real_part(self):
         re = quadrature_nodes(make(15))[0].real
