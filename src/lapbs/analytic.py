@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .fem1d import _require_real
+from .fem1d import _GAUSS_W, _GAUSS_X, _require_real
 
 __all__ = ["bs_put", "l2_error", "reduction_rate"]
 
@@ -40,9 +40,6 @@ def bs_put(x, t, strike, r, sigma):
     return out if out.ndim else float(out)
 
 
-_G5X, _G5W = np.polynomial.legendre.leggauss(5)
-
-
 def l2_error(values, exact, mesh):
     """L2(0, L) distance between the P1 interpolant of ``values`` and the
     function ``exact``, by 5-point Gauss per element.
@@ -57,12 +54,11 @@ def l2_error(values, exact, mesh):
     if len(v) != len(x):
         raise ValueError(f"values has {len(v)} entries but the mesh has "
                          f"{len(x)} nodes")
-    a = x[:-1, None]
-    half = 0.5 * (x[1:] - x[:-1])
-    pts = 0.5 * (a + x[1:, None]) + half[:, None] * _G5X
-    interp = v[:-1, None] + (v[1:] - v[:-1])[:, None] * (pts - a) / mesh.h
+    h = x[1:] - x[:-1]
+    pts = x[:-1, None] + h[:, None] * _GAUSS_X
+    interp = v[:-1, None] + (v[1:] - v[:-1])[:, None] * _GAUSS_X
     ex = np.broadcast_to(exact(pts), pts.shape)
-    total = np.dot(half, (interp - ex) ** 2 @ _G5W)
+    total = np.dot(h, (interp - ex) ** 2 @ _GAUSS_W)
     if not math.isfinite(total):
         cause = "exact is" if np.isfinite(v).all() else "values are"
         raise ValueError(f"{cause} not finite: the L2 error is undefined")

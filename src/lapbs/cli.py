@@ -24,7 +24,8 @@ def main(argv=None):
     run.add_argument("--workers", type=int, default=None)
     run.add_argument("--out", default=None, help="output directory")
 
-    sub.add_parser("oracle", help="run the scalar-inversion validation suite")
+    sub.add_parser("oracle", help="run the inversion, kappa, Poincare and "
+                   "Garding (on the pencil's bands) and Robin-branch checks")
 
     ref = sub.add_parser("reference", help="manage the Example-3 reference")
     ref.add_argument("--rebuild", action="store_true")

@@ -410,32 +410,37 @@ def run_oracles():
     check("invert 1/z^2 at t=1", abs(got - 1.0) <= 1e-6,
           f"abs err {abs(got - 1.0):.2e}")
 
-    kap = kappa_bound(0.4, mu(0.05, 0.3, 0.3, True))
+    market = table3.market()
+    r, sigma = market.r, market.sigma
+    mu_val = mu(r, sigma, sigma, True)
+    kap = kappa_bound(0.4, mu_val)
     check("kappa(s=0.4) = 0.01811", abs(kap - 0.01811) < 5e-6,
           f"kappa {kap:.6f}")
 
+    # Poincare and Garding on the bands the solver factors, unedited
+    mesh = fem1d.Mesh1D(market.L, 64)
+    stiffness, spatial, mass = fem1d._forms(mesh, market)
+    weighted = stiffness / (0.5 * sigma**2)   # int |x v'|^2
     rng = np.random.default_rng(20240811)
-    mesh = fem1d.Mesh1D(200.0, 64)
-    market = fem1d.Market1D(0.05, 0.3, 50.0, 1.0, 200.0)
     poincare_ok = coercive_ok = True
-    mu_val = mu(0.05, 0.3, 0.3, True)
     for _ in range(1000):
         v = rng.standard_normal(65) + 1j * rng.standard_normal(65)
         v[-1] = 0.0
-        l2 = fem1d.p1_l2_sq(mesh, v)
-        semi = fem1d.p1_weighted_semi_sq(mesh, v)
+        l2, semi, b = (np.vdot(v, fem1d._residual(band, v)).real
+                       for band in (mass, weighted, spatial))
         if not l2 <= 4.0 * semi * (1 + 1e-12):
             poincare_ok = False
-        b = fem1d.p1_b_form(mesh, market, v)
-        if not b.real >= 0.25 * market.sigma**2 * semi - mu_val * l2 - 1e-9:
+        if not b >= 0.25 * sigma**2 * semi - mu_val * l2 - 1e-9:
             coercive_ok = False
     check("discrete weighted Poincare (1000 fields)", poincare_ok)
     check("discrete coercivity (1000 fields)", coercive_ok)
 
+    # robin_coefficient's root, -(L*sigma^2*c + r - sigma^2/2), at each node
     z = np.concatenate([quadrature_nodes(p)[0] for p in table3.contours])
-    rad = (0.05 - 0.5 * 0.09) ** 2 + 2 * 0.09 * (0.05 + z)
+    c = np.array([fem1d.robin_coefficient(zj, r, sigma, market.L) for zj in z])
+    root = -(market.L * sigma**2 * c + r - 0.5 * sigma**2)
     check("Robin branch Re(sqrt) > 0 on all Table-3 nodes",
-          np.all(np.sqrt(rad).real > 0))
+          np.all(root.real > 0))
 
     ok = all(c["passed"] for c in checks)
     return ok, {"checks": checks}

@@ -97,8 +97,10 @@ def payoff_put(x, strike):
 def robin_coefficient(z, r, sigma, L):
     """Transparent-boundary coefficient c(z) with u'(L) = c(z)*u(L).
 
-    The square root is the principal branch, which has positive real part
-    for every nonzero argument.
+    The square root is the principal branch.  Its radicand is
+    (r + sigma^2/2)^2 + 2*sigma^2*z, so Re > 0 except at real
+    z <= -(r + sigma^2/2)^2/(2*sigma^2) < 0, where Re = 0; no admissible
+    contour reaches there, as its one real node, the crossing, is > kappa >= 0.
     """
     s2 = sigma * sigma
     radicand = (r - 0.5 * s2) ** 2 + 2.0 * s2 * (r + z)
@@ -185,16 +187,10 @@ def _bands(d_left, d_right, up, lo, n):
     return out
 
 
-def pencil(mesh, market, right_bc="dirichlet0"):
-    """The put's :class:`Pencil`, in bands.  Row 0 is the equation left at
-    x = 0, (z + r)*u = K (S[0, 0] = r, M[0, 0] = 1, load K), solved by
-    K/(z + r), the transform of the boundary data K*exp(-r*t).  At x = L
-    the put is 0 ("dirichlet0") or takes the transparent Robin term
-    ("transparent").  The other loads are the payoff's, integrated
-    exactly with each element split at the strike."""
-    if right_bc not in RIGHT_BCS:
-        raise ValueError(f"unknown right_bc {right_bc!r}; "
-                         f"choose from {RIGHT_BCS}")
+def _forms(mesh, market):
+    """The put's bands before any boundary row: its stiffness
+    (1/2)*sigma^2 * int x^2 u' v', its spatial form (stiffness, convection
+    and r*mass) and its mass, each element integral exact."""
     r, s2 = market.r, market.sigma**2
     a, b = mesh.x[:-1], mesh.x[1:]
     h, n = mesh.h, len(mesh)
@@ -209,6 +205,21 @@ def pencil(mesh, market, right_bc="dirichlet0"):
     mass = _bands(h / 3.0, h / 3.0, h / 6.0, h / 6.0, n)
     spatial = _bands(k_el - cc * ixl, k_el + cc * ixr, -k_el + cc * ixl,
                      -k_el - cc * ixr, n) + r * mass
+    return _bands(k_el, k_el, -k_el, -k_el, n), spatial, mass
+
+
+def pencil(mesh, market, right_bc="dirichlet0"):
+    """The put's :class:`Pencil`, in bands.  Row 0 is the equation left at
+    x = 0, (z + r)*u = K (S[0, 0] = r, M[0, 0] = 1, load K), solved by
+    K/(z + r), the transform of the boundary data K*exp(-r*t).  At x = L
+    the put is 0 ("dirichlet0") or takes the transparent Robin term
+    ("transparent").  The other loads are the payoff's, integrated
+    exactly with each element split at the strike."""
+    if right_bc not in RIGHT_BCS:
+        raise ValueError(f"unknown right_bc {right_bc!r}; "
+                         f"choose from {RIGHT_BCS}")
+    r, n = market.r, len(mesh)
+    _, spatial, mass = _forms(mesh, market)
     load = _load_vector(mesh, lambda xx: payoff_put(xx, market.strike),
                         kink=market.strike)
     # row 0's entries are bands[1, 0] and A[0, 1] = bands[0, 1]
@@ -218,7 +229,7 @@ def pencil(mesh, market, right_bc="dirichlet0"):
     if right_bc == "transparent":
         edge = np.zeros((3, n))
         edge[1, -1] = 1.0
-        robin = ((_robin_term(r, s2, mesh.L), edge),)
+        robin = ((_robin_term(r, market.sigma**2, mesh.L), edge),)
     else:   # row n-1's: bands[1, -1] and A[n-1, n-2] = bands[2, -2]
         spatial[2, -2] = mass[2, -2] = mass[1, -1] = 0.0
         spatial[1, -1], load[-1] = 1.0, 0.0
@@ -261,42 +272,8 @@ def _norm(v):
 
 
 def _residual(bands, sol):
+    """The (3, n) bands' matrix times sol."""
     out = bands[1] * sol
     out[:-1] += bands[0, 1:] * sol[1:]
     out[1:] += bands[2, :-1] * sol[:-1]
     return out
-
-
-def p1_l2_sq(mesh, v):
-    """Exact ||v||^2 on (0, L) for a complex P1 nodal field (Simpson)."""
-    v = np.asarray(v)
-    a, b = v[:-1], v[1:]
-    mid2 = np.abs(0.5 * (a + b)) ** 2
-    return float(mesh.h / 6.0 * np.sum(np.abs(a) ** 2 + 4.0 * mid2
-                                       + np.abs(b) ** 2))
-
-
-def p1_weighted_semi_sq(mesh, v):
-    """Exact weighted seminorm int |x v'|^2 for a P1 field."""
-    v = np.asarray(v)
-    x = mesh.x
-    dv = np.abs((v[1:] - v[:-1]) / mesh.h) ** 2
-    ix2 = (x[1:] ** 3 - x[:-1] ** 3) / 3.0
-    return float(np.sum(dv * ix2))
-
-
-def p1_b_form(mesh, market, v):
-    """Exact B(v, v) for a complex P1 field (constant coefficients)."""
-    v = np.asarray(v, dtype=complex)
-    x = mesh.x
-    h = mesh.h
-    r, s2 = market.r, market.sigma**2
-    a, b = x[:-1], x[1:]
-    va, vb = v[:-1], v[1:]
-    total = 0.5 * s2 * p1_weighted_semi_sq(mesh, v)
-    # int x v' conj(v) per element; v' constant, conj(v) linear
-    dv = (vb - va) / h
-    ixv = h * ((2 * a + b) / 6.0 * np.conj(va) + (a + 2 * b) / 6.0 * np.conj(vb))
-    total += (s2 - r) * complex(np.sum(dv * ixv))
-    total += r * p1_l2_sq(mesh, v)
-    return complex(total)

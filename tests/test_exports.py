@@ -1,9 +1,11 @@
-"""Every ``lapbs`` module's ``__all__`` names only what the module has,
-every cache is bounded, every checked float field rejects a bool, a string
-and NaN, and ``import lapbs`` stays light."""
+"""Every ``lapbs`` module's ``__all__`` names only what the module has and
+every public function and class it defines, every cache is bounded, every
+checked float field rejects a bool, a string and NaN, and ``import lapbs``
+stays light."""
 
 import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -32,6 +34,11 @@ def test_all_names_exist_and_star_import_works(name):
     module = importlib.import_module(f"lapbs.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"lapbs.{name}.__all__ names missing {missing}"
+    public = [n for n, x in vars(module).items() if not n.startswith("_")
+              and (inspect.isfunction(x) or inspect.isclass(x))
+              and x.__module__ == module.__name__]
+    unlisted = sorted(set(public) - set(module.__all__))
+    assert not unlisted, f"lapbs.{name} leaves {unlisted} out of __all__"
     namespace = {}
     exec(f"from lapbs.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)

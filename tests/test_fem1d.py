@@ -5,15 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh, solve_banded
 
 from lapbs import fem1d
 from lapbs.analytic import l2_error, reduction_rate
 from lapbs.contour import quadrature_nodes
 from lapbs.experiments import default_config
-from lapbs.fem1d import (RIGHT_BCS, Market1D, Mesh1D, _load_vector,
-                         p1_b_form, p1_l2_sq, p1_weighted_semi_sq, payoff_put,
-                         pencil, robin_coefficient, solve)
+from lapbs.fem1d import (RIGHT_BCS, Market1D, Mesh1D, _forms, _load_vector,
+                         payoff_put, pencil, robin_coefficient, solve)
 
 MARKET = Market1D(r=0.05, sigma=0.3, strike=50.0, maturity=1.0, L=50.0)
 
@@ -256,7 +255,10 @@ class TestRobinCoefficient:
             c = robin_coefficient(z, r, sigma, L)
             lhs = (L * sigma**2 * c + b) ** 2
             assert lhs == pytest.approx(b * b + 2 * sigma**2 * (r + z))
-            # principal branch: the subtracted root has positive real part
+            # principal branch: the subtracted root has positive real part.
+            # The radicand is (r + s2/2)^2 + 2*s2*z, real and <= 0 (Re = 0)
+            # only at real z <= -(r + s2/2)^2/(2*s2) < 0; a contour's one
+            # real node is its crossing, > kappa >= 0
             assert (-(L * sigma**2 * c) - b).real > 0
 
     def test_exterior_power_solution(self):
@@ -378,39 +380,124 @@ class TestSolve:
             solve((bands, 1e200 * np.ones(3)))
 
 
+def p1_l2_sq(mesh, v):
+    """Exact ||v||^2 on (0, L) for a complex P1 nodal field (Simpson)."""
+    v = np.asarray(v)
+    a, b = v[:-1], v[1:]
+    mid2 = np.abs(0.5 * (a + b)) ** 2
+    return float(mesh.h / 6.0 * np.sum(np.abs(a) ** 2 + 4.0 * mid2
+                                       + np.abs(b) ** 2))
+
+
+def p1_weighted_semi_sq(mesh, v):
+    """Exact weighted seminorm int |x v'|^2 for a P1 field."""
+    v = np.asarray(v)
+    x = mesh.x
+    dv = np.abs((v[1:] - v[:-1]) / mesh.h) ** 2
+    ix2 = (x[1:] ** 3 - x[:-1] ** 3) / 3.0
+    return float(np.sum(dv * ix2))
+
+
+def p1_b_form(mesh, market, v):
+    """Exact B(v, v) for a complex P1 field (constant coefficients)."""
+    v = np.asarray(v, dtype=complex)
+    x = mesh.x
+    h = mesh.h
+    r, s2 = market.r, market.sigma**2
+    a, b = x[:-1], x[1:]
+    va, vb = v[:-1], v[1:]
+    total = 0.5 * s2 * p1_weighted_semi_sq(mesh, v)
+    # int x v' conj(v) per element; v' constant, conj(v) linear
+    dv = (vb - va) / h
+    ixv = h * ((2 * a + b) / 6.0 * np.conj(va) + (a + 2 * b) / 6.0 * np.conj(vb))
+    total += (s2 - r) * complex(np.sum(dv * ixv))
+    total += r * p1_l2_sq(mesh, v)
+    return complex(total)
+
+
+def band_form(bands, v):
+    """v^H A v for the matrix A of (3, n) bands."""
+    return np.vdot(v, fem1d._residual(bands, v))
+
+
 class TestFormProperties:
+    # the forms of fem1d._forms' bands: ||v||^2 from the mass band, the
+    # weighted seminorm |v|^2_w = int |x v'|^2 from the stiffness band over
+    # (1/2)*sigma^2, and B(v, v) from the spatial band
     def setup_method(self):
         self.mesh = Mesh1D(50.0, 60)
         self.rng = np.random.default_rng(1234)
+        stiffness, self.spatial, self.mass = _forms(self.mesh, MARKET)
+        self.weighted = stiffness / (0.5 * MARKET.sigma**2)
 
     def random_field(self):
         v = (self.rng.standard_normal(len(self.mesh))
              + 1j * self.rng.standard_normal(len(self.mesh)))
-        v[0] = 0.0
+        v[-1] = 0.0
         return v
 
-    def test_poincare_inequality(self):
-        # ||v|| <= 4 ||x v'|| for fields vanishing at x = 0
+    def fields(self):
+        """The step (1, ..., 1, 0), then 200 random fields, all with
+        v(L) = 0."""
+        yield np.append(np.ones(len(self.mesh) - 1), 0.0).astype(complex)
         for _ in range(200):
-            v = self.random_field()
-            l2 = math.sqrt(p1_l2_sq(self.mesh, v))
-            semi = math.sqrt(p1_weighted_semi_sq(self.mesh, v))
+            yield self.random_field()
+
+    def test_poincare_inequality(self):
+        # ||v|| <= 4 ||x v'|| for fields vanishing at x = L (weighted Hardy:
+        # ||v||^2 = -2 Re int x v' conj(v) when v(L) = 0); a field vanishing
+        # only at x = 0 can fail it: (0, 1, ..., 1) has ||v||^2 = 49.4
+        # against 4|v|^2_w = 1.11
+        for v in self.fields():
+            l2 = math.sqrt(band_form(self.mass, v).real)
+            semi = math.sqrt(band_form(self.weighted, v).real)
             assert l2 <= 4.0 * semi + 1e-12
 
     def test_garding_coercivity(self):
         # Re B(v,v) >= (s2/4)|v|^2_w - mu ||v||^2 with mu from the market
         s2 = MARKET.sigma**2
         mu = (MARKET.r - s2) ** 2 / s2
-        for _ in range(200):
-            v = self.random_field()
-            b = p1_b_form(self.mesh, MARKET, v)
-            lower = (0.25 * s2 * p1_weighted_semi_sq(self.mesh, v)
-                     - mu * p1_l2_sq(self.mesh, v))
+        for v in self.fields():
+            b = band_form(self.spatial, v)
+            lower = (0.25 * s2 * band_form(self.weighted, v).real
+                     - mu * band_form(self.mass, v).real)
             assert b.real >= lower - 1e-10 * abs(b)
 
     def test_norm_helpers_on_linear_field(self):
-        # v = x: ||v||^2 = L^3/3, |v|^2_w = int x^2 = L^3/3
+        # v = x: ||v||^2 = L^3/3, |v|^2_w = int x^2 = L^3/3, on the bands
+        # and on the references
         v = self.mesh.x.astype(complex)
         want = 50.0**3 / 3.0
+        assert band_form(self.mass, v) == pytest.approx(want)
+        assert band_form(self.weighted, v) == pytest.approx(want)
         assert p1_l2_sq(self.mesh, v) == pytest.approx(want)
         assert p1_weighted_semi_sq(self.mesh, v) == pytest.approx(want)
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_bands_equal_the_reference_forms(self, example):
+        market = default_config(example).market()
+        mesh = Mesh1D(market.L, 64)
+        stiffness, spatial, mass = _forms(mesh, market)
+        weighted = stiffness / (0.5 * market.sigma**2)
+        for _ in range(200):   # no boundary pin: the bands are unedited
+            v = (self.rng.standard_normal(len(mesh))
+                 + 1j * self.rng.standard_normal(len(mesh)))
+            for bands, want in ((mass, p1_l2_sq(mesh, v)),
+                                (weighted, p1_weighted_semi_sq(mesh, v)),
+                                (spatial, p1_b_form(mesh, market, v))):
+                assert abs(band_form(bands, v) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("m", [64, 640])
+    def test_bounds_hold_at_their_sharpest_field(self, m):
+        # the smallest generalised eigenvalue over fields with v(L) = 0:
+        # 4W >= M is the weighted Poincare bound, and
+        # sym(S) - (s2/4)W + mu*M >= 0 the Garding bound
+        stiffness, spatial, mass = (dense(b)[:-1, :-1]
+                                    for b in _forms(Mesh1D(50.0, m), MARKET))
+        s2 = MARKET.sigma**2
+        w = stiffness / (0.5 * s2)
+        mu = (MARKET.r - s2) ** 2 / s2
+        smallest = dict(eigvals_only=True, subset_by_index=[0, 0])
+        assert eigh(4.0 * w, mass, **smallest)[0] >= 1.0   # 1.514, 1.312
+        garding = 0.5 * (spatial + spatial.T) - 0.25 * s2 * w + mu * mass
+        assert eigh(garding, mass, **smallest)[0] >= 0.0   # 0.0563, 0.0552
