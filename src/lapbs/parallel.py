@@ -40,7 +40,6 @@ import numpy as np
 import scipy
 
 from . import fem1d, fem2d
-from .contour import quadrature_nodes
 from .inversion import TransformEnsemble
 
 __all__ = ["SpeedupRow", "ProblemSpec", "solve_ensemble"]
@@ -245,23 +244,22 @@ def solve_ensemble(spec, contour, workers=1):
     of groups.
     """
     fem1d._require_count("workers", workers, 1, "worker")
-    zs = quadrature_nodes(contour)[0].tolist()   # numpy's scalars round apart
-    cuts = [-(-len(zs) * g // _GROUPS) for g in range(_GROUPS + 1)]
+    cuts = [-(-contour.n * g // _GROUPS) for g in range(_GROUPS + 1)]
     groups = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     size = math.ceil(len(groups) / workers)
     chunks = [groups[i:i + size] for i in range(0, len(groups), size)]
-    shape = (len(zs), len(spec.mesh()))   # one row per node
+    shape = (contour.n, len(spec.mesh()))   # one row per node
     if len(chunks) == 1:   # nothing forks
         rows = np.empty(shape, complex)
     else:   # in memory the forked workers share with the caller
         shared = mmap.mmap(-1, math.prod(shape) * np.dtype(complex).itemsize)
         rows = np.frombuffer(shared, complex).reshape(shape)
+    ensemble = TransformEnsemble(contour, rows)   # values is rows, uncopied
+    zs = ensemble.z.tolist()   # numpy's scalars round apart
     solve = functools.partial(_solve_groups, spec.pencil(), zs, rows)
 
     start = time.perf_counter()
     with _one_blas_thread():
         _run_pool(chunks, solve)
     wall = time.perf_counter() - start
-
-    ensemble = TransformEnsemble(contour, rows)
     return ensemble, SpeedupRow(workers=len(chunks), wall_time=wall)

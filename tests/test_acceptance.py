@@ -236,7 +236,7 @@ def test_criterion_9_property_suites(ex1_report, ex2_report, ex3_report,
         if dev > 1e-12:
             failures.append(f"conjugate symmetry dev {dev:.1e} at j={j}")
 
-    # Poincare/coercivity over 1000 fields + Robin branch positivity
+    # Poincare/Garding by their smallest eigenvalues + Robin branch positivity
     ok, rep = experiments.run_oracles()
     failures += [c["name"] for c in rep["checks"] if not c["passed"]]
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lapbs import cli, experiments
+from lapbs import cli, experiments, fem1d
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE_CACHE = str(REPO / ".cache" / "ex3_reference.npz")
@@ -279,6 +279,31 @@ class TestOracles:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert ok, failed
         assert len(report["checks"]) >= 8
+        # every line states the margin its check saw
+        assert all(c["detail"] for c in report["checks"]), report["checks"]
+
+    @pytest.fixture
+    def soft_stiffness(self, monkeypatch):
+        """``fem1d._forms`` with its stiffness band scaled by 1e-3, in the
+        spatial band (stiffness, convection and r*mass) as well."""
+        forms = fem1d._forms
+
+        def soft(mesh, market):
+            stiffness, spatial, mass = forms(mesh, market)
+            return 1e-3 * stiffness, spatial - (1 - 1e-3) * stiffness, mass
+
+        monkeypatch.setattr(fem1d, "_forms", soft)
+
+    def test_a_wrong_stiffness_band_fails_poincare(self, soft_stiffness):
+        ok, report = experiments.run_oracles()
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert not ok
+        assert len(failed) == 1 and "Poincare" in failed[0], failed
+
+    def test_oracle_command_fails_on_a_wrong_stiffness_band(
+            self, soft_stiffness, capsys):
+        assert cli.main(["oracle"]) == 1
+        assert "[FAIL]" in capsys.readouterr().out
 
 
 class TestCli:
